@@ -392,16 +392,26 @@ class Harness
 
     /**
      * Write the JSON artifact when --json was given. Returns the
-     * process exit code (0; sweeps with failed cells still emit
-     * their partial figures, the rows are just marked).
+     * process exit code: 1 when the artifact cannot be written or
+     * any cell threw (its "error" is set; the artifact is still
+     * written first, with the row marked), else 0. Halted or
+     * truncated runs are results, not errors, and do not change it.
      */
     int
     finish() const
     {
         if (profile_)
             printProfile();
+        std::size_t errored = 0;
+        for (const auto &o : outcomes_)
+            errored += !o.skipped && !o.error.empty() ? 1 : 0;
+        const int cellRc = errored > 0 ? 1 : 0;
+        if (errored > 0) {
+            std::fprintf(stderr, "%s: %zu cell(s) failed with an error\n",
+                         name_.c_str(), errored);
+        }
         if (jsonPath_.empty())
-            return 0;
+            return cellRc;
         Json doc = Json::object();
         doc["bench"] = name_;
         doc["schema_version"] = 1;
@@ -478,7 +488,7 @@ class Harness
         out << doc.dump(2);
         std::fprintf(stderr, "wrote %s (%zu runs)\n",
                      jsonPath_.c_str(), emitted);
-        return 0;
+        return cellRc;
     }
 
   private:

@@ -6,6 +6,7 @@
 #ifndef CDFSIM_BP_BTB_HH
 #define CDFSIM_BP_BTB_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -89,6 +90,11 @@ class Btb
     std::uint64_t &misses_;
 };
 
+/** Inline capacity of the return address stack. Snapshots copy the
+ *  whole stack, so the bound keeps every branch checkpoint a flat,
+ *  allocation-free value. */
+inline constexpr std::size_t kMaxRasDepth = 32;
+
 /**
  * Return address stack. Fetch pushes on Call and pops on Ret; the
  * whole stack is checkpointed per in-flight branch (it is small) so
@@ -97,14 +103,20 @@ class Btb
 class Ras
 {
   public:
-    explicit Ras(std::size_t depth) : stack_(depth), top_(0), size_(0) {}
+    explicit Ras(std::size_t depth) : depth_(depth)
+    {
+        if (depth == 0 || depth > kMaxRasDepth) {
+            fatal("RAS depth ", depth, " is outside 1..", kMaxRasDepth,
+                  " (the inline RAS capacity)");
+        }
+    }
 
     void
     push(Addr returnPc)
     {
         stack_[top_] = returnPc;
-        top_ = (top_ + 1) % stack_.size();
-        if (size_ < stack_.size())
+        top_ = (top_ + 1) % depth_;
+        if (size_ < depth_)
             ++size_;
     }
 
@@ -114,20 +126,21 @@ class Ras
     {
         if (size_ == 0)
             return 0;
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
+        top_ = (top_ + depth_ - 1) % depth_;
         --size_;
         return stack_[top_];
     }
 
-    /** Copyable snapshot for checkpointing. Default-constructed
+    /** Exact full-stack copy for checkpointing. Fixed-size, so a
+     *  checkpoint never touches the heap. Default-constructed
      *  instances sit idle inside BpCheckpoint holders that still get
-     *  serialized verbatim (e.g. a DynInst that took no checkpoint),
-     *  so every field must default to a deterministic value — an
-     *  uninitialized member here would leak host heap garbage into
-     *  checkpoint payloads and break on-disk determinism. */
+     *  serialized verbatim, so every field defaults to zero —
+     *  uninitialized bytes here would leak into checkpoint payloads
+     *  and break on-disk determinism. Entries at or beyond the
+     *  configured depth are always zero. */
     struct Snapshot
     {
-        std::vector<Addr> stack;
+        std::array<Addr, kMaxRasDepth> stack{};
         std::size_t top = 0;
         std::size_t size = 0;
     };
@@ -146,8 +159,8 @@ class Ras
     void
     save(SnapWriter &w) const
     {
-        for (Addr a : stack_)
-            w.u64(a);
+        for (std::size_t i = 0; i < depth_; ++i)
+            w.u64(stack_[i]);
         w.u64(top_);
         w.u64(size_);
     }
@@ -155,25 +168,25 @@ class Ras
     void
     restore(SnapReader &r)
     {
-        for (Addr &a : stack_)
-            a = r.u64();
+        for (std::size_t i = 0; i < depth_; ++i)
+            stack_[i] = r.u64();
         top_ = static_cast<std::size_t>(r.u64());
         size_ = static_cast<std::size_t>(r.u64());
     }
 
   private:
-    SIM_SNAPSHOT_FIELDS(3);
+    SIM_SNAPSHOT_FIELDS(4);
 
-    std::vector<Addr> stack_;
-    std::size_t top_;
-    std::size_t size_;
+    std::array<Addr, kMaxRasDepth> stack_{};
+    std::size_t depth_;
+    std::size_t top_ = 0;
+    std::size_t size_ = 0;
 };
 
 /** Snapshot codec for the copyable RAS checkpoint. */
 inline void
 save(SnapWriter &w, const Ras::Snapshot &s)
 {
-    w.u64(s.stack.size());
     for (Addr a : s.stack)
         w.u64(a);
     w.u64(s.top);
@@ -183,7 +196,6 @@ save(SnapWriter &w, const Ras::Snapshot &s)
 inline void
 restore(SnapReader &r, Ras::Snapshot &s)
 {
-    s.stack.resize(static_cast<std::size_t>(r.u64()));
     for (Addr &a : s.stack)
         a = r.u64();
     s.top = static_cast<std::size_t>(r.u64());

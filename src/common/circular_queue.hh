@@ -56,7 +56,8 @@ class CircularQueue
     {
         SIM_ASSERT(!empty(), "pop from empty CircularQueue");
         T value = std::move(buf_[head_]);
-        head_ = (head_ + 1) % buf_.size();
+        if (++head_ == buf_.size())
+            head_ = 0;
         --count_;
         return value;
     }
@@ -144,9 +145,13 @@ class CircularQueue
     }
 
   private:
+    /** Ring slot of position @p i; i <= size() keeps head_ + i below
+     *  twice the capacity, so one conditional subtract wraps it
+     *  (no division on the per-uop queue paths). */
     std::size_t index(std::size_t i) const
     {
-        return (head_ + i) % buf_.size();
+        const std::size_t j = head_ + i;
+        return j >= buf_.size() ? j - buf_.size() : j;
     }
 
     SIM_SNAPSHOT_FIELDS(3);

@@ -6,6 +6,7 @@
 #ifndef CDFSIM_COMMON_POOL_HH
 #define CDFSIM_COMMON_POOL_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,10 +35,14 @@ class SlabPool
   public:
     static constexpr std::uint32_t kNpos = 0xFFFF'FFFFu;
 
+    /** @p slabSize must be a power of two: handles split into slab
+     *  and slot with a shift and a mask, never a division. */
     explicit SlabPool(std::uint32_t slabSize = 1024)
-        : slabSize_(slabSize)
+        : slabSize_(slabSize),
+          slabShift_(static_cast<unsigned>(std::countr_zero(slabSize)))
     {
-        SIM_ASSERT(slabSize_ > 0, "empty slab");
+        SIM_ASSERT(std::has_single_bit(slabSize_),
+                   "slab size ", slabSize_, " is not a power of two");
     }
 
     SlabPool(const SlabPool &) = delete;
@@ -212,12 +217,12 @@ class SlabPool
 
     void *slotPtr(std::uint32_t idx)
     {
-        return slabs_[idx / slabSize_][idx % slabSize_].raw;
+        return slabs_[idx >> slabShift_][idx & (slabSize_ - 1)].raw;
     }
 
     const void *slotPtr(std::uint32_t idx) const
     {
-        return slabs_[idx / slabSize_][idx % slabSize_].raw;
+        return slabs_[idx >> slabShift_][idx & (slabSize_ - 1)].raw;
     }
 
     void grow()
@@ -233,9 +238,10 @@ class SlabPool
             freeList_.push_back(base + i);
     }
 
-    SIM_SNAPSHOT_FIELDS(6);
+    SIM_SNAPSHOT_FIELDS(7);
 
     std::uint32_t slabSize_;
+    unsigned slabShift_; //!< log2(slabSize_)
     std::vector<std::unique_ptr<Slot[]>> slabs_;
     std::vector<std::uint8_t> alive_;
     std::vector<std::uint32_t> freeList_;

@@ -162,6 +162,8 @@ Core::makeInst(const isa::ExecRecord &rec, SeqNum ts, bool onPath)
 void
 Core::destroyInst(DynInst *inst)
 {
+    if (inst->bpCkpt != kNoInst)
+        bpCkptPool_.free(inst->bpCkpt);
     if (inst->prevIdx != kNoInst)
         inflightPool_.at(inst->prevIdx).nextIdx = inst->nextIdx;
     else
@@ -171,6 +173,22 @@ Core::destroyInst(DynInst *inst)
     else
         inflightTail_ = inst->prevIdx;
     inflightPool_.free(inst->poolIdx);
+}
+
+std::uint32_t
+Core::takeBpCheckpoint()
+{
+    const std::uint32_t h = bpCkptPool_.allocate();
+    bpCkptPool_.at(h) = bp_.checkpoint();
+    return h;
+}
+
+void
+Core::clearDbqCheckpoints()
+{
+    for (const DbqCheckpoint &c : dbqCkpts_)
+        bpCkptPool_.free(c.ckpt);
+    dbqCkpts_.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -425,19 +443,20 @@ Core::fetchRegularBaseline(unsigned &budget)
 
         // Pick the next record: oracle when on the correct path,
         // functional wrong-path walk otherwise.
-        isa::ExecRecord rec;
+        const isa::ExecRecord *recp;
+        isa::ExecRecord wpRec;
         SeqNum ts;
         if (!wrongPath_) {
             if (!oracle_.hasRecord(nextFetchTs_)) {
                 fetchDoneHalt_ = true;
                 return;
             }
-            rec = oracle_.at(nextFetchTs_);
+            recp = &oracle_.at(nextFetchTs_);
             ts = nextFetchTs_;
 
             // CDF entry check at basic-block starts.
             if (config_.mode == CoreMode::Cdf && fetchAtBbStart_) {
-                maybeEnterCdfMode(rec.pc, ts);
+                maybeEnterCdfMode(recp->pc, ts);
                 if (cdfMode_)
                     return;
             }
@@ -447,9 +466,11 @@ Core::fetchRegularBaseline(unsigned &budget)
             const isa::Uop &wuop = oracle_.program().at(wrongPathPc_);
             if (wuop.isHalt())
                 return;
-            rec = walker_.execute(wrongPathPc_);
+            wpRec = walker_.execute(wrongPathPc_);
+            recp = &wpRec;
             ts = ++wrongPathTs_;
         }
+        const isa::ExecRecord &rec = *recp;
 
         if (!icacheGate(rec.pc, budget))
             return;
@@ -473,8 +494,7 @@ Core::fetchRegularBaseline(unsigned &budget)
         bool endGroup = false;
         if (inst->isBranch()) {
             ++statBranches_;
-            inst->hasBpCheckpoint = true;
-            inst->bpCheckpoint = bp_.checkpoint();
+            inst->bpCkpt = takeBpCheckpoint();
             auto pred = bp_.predict(rec.pc, rec.uop);
             inst->predTaken = pred.taken;
             inst->predTarget = pred.target;

@@ -14,6 +14,7 @@
 #ifndef CDFSIM_OOO_CORE_HH
 #define CDFSIM_OOO_CORE_HH
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <memory>
@@ -91,6 +92,51 @@ struct StageProfile
     mem::MemLevelProfile mem;
 
     static const char *name(unsigned stage);
+};
+
+/**
+ * One basic block's criticality bits, handed from the critical fetch
+ * engine to the regular stream in CDF mode (Section 3.3). Offsets
+ * below 64 — every block the mask cache can describe — live in a
+ * 64-bit mask; the rare critical offsets beyond it (a Fill Buffer
+ * walk can still mark those, see FillBuffer::walk) go to a side list
+ * that stays empty, and allocation-free, for ordinary blocks.
+ */
+struct BbInfo
+{
+    SeqNum baseTs = 0;         //!< ts of the block's first uop
+    unsigned length = 0;       //!< uops in the block
+    std::uint64_t mask = 0;    //!< critical offsets < 64
+    std::vector<unsigned> highOffsets; //!< critical offsets >= 64
+
+    /** Rebuild from @p trace for the block starting at @p base. */
+    void
+    assign(const cdf::BbTrace &trace, SeqNum base)
+    {
+        baseTs = base;
+        length = trace.blockLength;
+        mask = 0;
+        highOffsets.clear();
+        for (const cdf::TraceUop &tu : trace.uops) {
+            if (tu.offsetInBlock < 64)
+                mask |= std::uint64_t{1} << tu.offsetInBlock;
+            else
+                highOffsets.push_back(tu.offsetInBlock);
+        }
+    }
+
+    /** First ts past the block. */
+    SeqNum endTs() const { return baseTs + length; }
+
+    /** Whether the uop at @p offset within the block is critical. */
+    bool
+    critical(unsigned offset) const
+    {
+        if (offset < 64)
+            return (mask >> offset) & 1;
+        return std::find(highOffsets.begin(), highOffsets.end(),
+                         offset) != highOffsets.end();
+    }
 };
 
 /** The core. */
@@ -191,6 +237,15 @@ class Core
     void auditLsqRobAge() const;
 
     /**
+     * Branch-checkpoint pool ownership walk: every live handle in
+     * bpCkptPool_ is owned exactly once, by an in-flight instruction
+     * or a dbqCkpts_ entry, every owned handle is live, and the live
+     * count equals the number of owners (no leaks). Always
+     * compiled; sampled from the retire stage in Audit builds.
+     */
+    void auditBpCheckpoints() const;
+
+    /**
      * Serialize the complete architectural + microarchitectural core
      * state (core_snapshot.cc). Host-only measurement state (stage
      * profile, idle-skip bookkeeping) is excluded, so the payload is
@@ -228,6 +283,11 @@ class Core
     // --- Instruction lifecycle ---
     DynInst *makeInst(const isa::ExecRecord &rec, SeqNum ts, bool onPath);
     void destroyInst(DynInst *inst);
+
+    /** Snapshot the predictor into a fresh checkpoint-pool slot. */
+    std::uint32_t takeBpCheckpoint();
+    /** Free every DBQ checkpoint handle, then empty dbqCkpts_. */
+    void clearDbqCheckpoints();
 
     // --- Execution helpers ---
     void issueOne(DynInst *inst);
@@ -304,7 +364,7 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(126);
+    SIM_SNAPSHOT_FIELDS(129);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -328,6 +388,14 @@ class Core
     SlabPool<DynInst> inflightPool_;
     std::uint32_t inflightHead_ = kNoInst; //!< oldest in flight
     std::uint32_t inflightTail_ = kNoInst; //!< youngest in flight
+
+    /** Branch checkpoints, owned by DynInst::bpCkpt or a
+     *  DbqCheckpoint (see auditBpCheckpoints()). */
+    SlabPool<bp::BpCheckpoint> bpCkptPool_{256};
+
+    /** squashYoungerThan's victims (reused): frontend entries, then
+     *  ROB entries youngest first. */
+    std::vector<DynInst *> squashed_;
 
     /** RS entries parked until a physical register is written:
      *  (pool handle, fetchSeq) pairs, validated at wake time. */
@@ -430,11 +498,6 @@ class Core
     FlatMap<SeqNum, DynInst *> criticalByTs_{kInvalidSeq};
 
     /** Per-BB criticality bits handed from critical to regular fetch. */
-    struct BbInfo
-    {
-        SeqNum baseTs;
-        std::vector<bool> critBits;
-    };
     std::deque<BbInfo> bbInfoQ_;
 
     // Wrong-path records produced by critical fetch for the regular
@@ -449,14 +512,13 @@ class Core
     std::size_t wpConsumeIdx_ = 0;
 
     // DBQ checkpoints: branch checkpoints taken at critical fetch for
-    // branches that travel only in the regular stream.
+    // branches that travel only in the regular stream. The pool
+    // handle moves to the regular-stream DynInst when it is fetched.
     struct DbqCheckpoint
     {
         SeqNum ts;
-        bp::BpCheckpoint ckpt;
-        bool mispredicted;
+        std::uint32_t ckpt; //!< bpCkptPool_ handle
         bool btbMiss;
-        bp::TagePredictionInfo tageInfo;
     };
     std::vector<DbqCheckpoint> dbqCkpts_;
 
@@ -505,6 +567,7 @@ class Core
     mutable AuditSampler rsAudit_{4096};
     mutable AuditSampler renameAudit_{8192};
     mutable AuditSampler lsqRobAudit_{4096};
+    mutable AuditSampler bpCkptAudit_{4096};
     RunningMean mlpWhenActive_;
     RunningMean uselessMlpWhenActive_;
     RunningMean fig1CriticalFrac_;

@@ -314,11 +314,10 @@ Core::tryIssueLoad(DynInst *inst)
     const Cycle agen = now_ + 1;
     inst->addrKnown = true;
 
-    bool olderUnknown = false;
-    DynInst *st = lsq_.forwardingStore(inst, &olderUnknown);
-    // Loads speculate past older stores with unresolved addresses;
-    // the violation check at store address-generation catches any
-    // mistakes (Section 3.5).
+    // Loads speculate past older stores with unresolved addresses
+    // (so the search need not report them); the violation check at
+    // store address-generation catches any mistakes (Section 3.5).
+    DynInst *st = lsq_.forwardingStore(inst, nullptr);
     if (st) {
         if (!prf_.isReady(st->physSrc2, now_))
             return false; // retry: stays in the RS until data is ready
@@ -437,6 +436,7 @@ void
 Core::retireStage()
 {
     SIM_AUDIT_ONLY(if (lsqRobAudit_.due()) auditLsqRobAge();)
+    SIM_AUDIT_ONLY(if (bpCkptAudit_.due()) auditBpCheckpoints();)
 
     for (unsigned n = 0; n < config_.width; ++n) {
         DynInst *h = rob_.head();
@@ -581,39 +581,85 @@ Core::trainOnRetire(const DynInst *h)
 void
 Core::squashYoungerThan(SeqNum flushTs)
 {
-    // Collect the doomed set first so the completion heap and other
-    // side structures can be filtered before any memory is freed.
-    std::vector<DynInst *> squashed;
-    squashOldestCkptValid_ = false;
-    for (std::uint32_t i = inflightHead_; i != kNoInst;
-         i = inflightPool_.at(i).nextIdx) {
-        DynInst &inst = inflightPool_.at(i);
-        if (inst.ts > flushTs) {
-            inst.doomed = true;
-            squashed.push_back(&inst);
+    // Every in-flight instruction sits in exactly one ts-ordered
+    // container — a frontend queue before rename, a ROB section
+    // after — so the doomed set is the union of their young tails.
+    // Frontend entries were never renamed and need no particular
+    // order, so they go first (and leave their queues right away);
+    // the two ROB tails follow, merged youngest-first, the order the
+    // rename undo below needs. Side structures are filtered through
+    // the doomed mark before any memory is freed.
+    squashed_.clear();
+    for (auto *q : {&frontQ_, &critQ_}) {
+        std::size_t kept = q->size();
+        for (; kept > 0 && q->at(kept - 1)->ts > flushTs; --kept) {
+            DynInst *inst = q->at(kept - 1);
+            inst->doomed = true;
+            squashed_.push_back(inst);
         }
+        q->truncate(kept);
     }
+    const std::size_t firstRenamed = squashed_.size();
+    const auto &crit = rob_.criticalSection();
+    const auto &nonCrit = rob_.nonCriticalSection();
+    for (std::size_t c = crit.size(), n = nonCrit.size();;) {
+        const bool critDoomed = c > 0 && crit[c - 1]->ts > flushTs;
+        const bool nonCritDoomed = n > 0 && nonCrit[n - 1]->ts > flushTs;
+        if (!critDoomed && !nonCritDoomed)
+            break;
+        DynInst *inst =
+            critDoomed && (!nonCritDoomed ||
+                           crit[c - 1]->ts > nonCrit[n - 1]->ts)
+                ? crit[--c]
+                : nonCrit[--n];
+        inst->doomed = true;
+        squashed_.push_back(inst);
+    }
+
+    // The tails must be exactly the instructions the full in-flight
+    // walk finds younger than the flush point.
+    SIM_AUDIT_ONLY({
+        std::size_t younger = 0;
+        for (std::uint32_t i = inflightHead_; i != kNoInst;
+             i = inflightPool_.at(i).nextIdx) {
+            const DynInst &inst = inflightPool_.at(i);
+            SIM_AUDIT(inst.doomed == (inst.ts > flushTs),
+                      "squash tail gather disagrees with the "
+                      "in-flight walk at ts ", inst.ts);
+            younger += inst.ts > flushTs;
+        }
+        SIM_AUDIT(younger == squashed_.size(),
+                  "squash tail gather collected ", squashed_.size(),
+                  " instructions, the in-flight walk ", younger);
+    })
     // NOTE: even when no in-flight instruction is younger than the
     // flush point, the FIFO flushes further down must still run:
     // wrong-path basic blocks with no critical uops leave DBQ /
     // wpRecords / BbInfo entries behind without any instruction.
 
-    // Track the oldest squashed branch checkpoint so violation
+    // Keep the oldest squashed branch checkpoint so violation
     // recoveries can rewind the predictor's speculative history.
-    auto noteCkpt = [&](SeqNum ts, const bp::BpCheckpoint &c) {
-        if (!squashOldestCkptValid_ || ts < squashOldestCkptTs_) {
-            squashOldestCkptValid_ = true;
-            squashOldestCkptTs_ = ts;
-            squashOldestCkpt_ = c;
+    // Copied once, before the squash frees the pool slots.
+    SeqNum oldestTs = 0;
+    std::uint32_t oldest = kNoInst;
+    const auto noteCkpt = [&](SeqNum ts, std::uint32_t ckpt) {
+        if (oldest == kNoInst || ts < oldestTs) {
+            oldestTs = ts;
+            oldest = ckpt;
         }
     };
-    for (DynInst *inst : squashed) {
-        if (inst->hasBpCheckpoint)
-            noteCkpt(inst->ts, inst->bpCheckpoint);
+    for (const DynInst *inst : squashed_) {
+        if (inst->hasBpCheckpoint())
+            noteCkpt(inst->ts, inst->bpCkpt);
     }
     for (const DbqCheckpoint &c : dbqCkpts_) {
         if (c.ts > flushTs)
             noteCkpt(c.ts, c.ckpt);
+    }
+    squashOldestCkptValid_ = oldest != kNoInst;
+    if (squashOldestCkptValid_) {
+        squashOldestCkptTs_ = oldestTs;
+        squashOldestCkpt_ = bpCkptPool_.at(oldest);
     }
     // Completion heap: drain in heap order, keep survivors. The
     // drained sequence is ascending, so the survivor vector is
@@ -650,14 +696,6 @@ Core::squashYoungerThan(SeqNum flushTs)
     if (pendingMemViolation_ && pendingMemViolation_->doomed)
         pendingMemViolation_ = nullptr;
 
-    // Frontend queues (entries are ts-ordered within each queue).
-    for (auto *q : {&frontQ_, &critQ_}) {
-        std::size_t kept = q->size();
-        while (kept > 0 && q->at(kept - 1)->ts > flushTs)
-            --kept;
-        q->truncate(kept);
-    }
-
     rob_.flushYounger(flushTs);
     rs_.flushYounger(flushTs);
     lsq_.lq().flushYounger(flushTs);
@@ -667,31 +705,42 @@ Core::squashYoungerThan(SeqNum flushTs)
         cdf::flushYounger(*dbq_, flushTs);
     if (cmq_)
         cdf::flushYounger(*cmq_, flushTs);
-    std::erase_if(dbqCkpts_,
-                  [&](const DbqCheckpoint &c) { return c.ts > flushTs; });
-    std::erase_if(wpRecords_,
-                  [&](const WpRecord &w) { return w.ts > flushTs; });
+    std::erase_if(dbqCkpts_, [&](const DbqCheckpoint &c) {
+        if (c.ts <= flushTs)
+            return false;
+        bpCkptPool_.free(c.ckpt);
+        return true;
+    });
+    // One divergence's walk, so ascending ts: cut the young tail.
+    SIM_AUDIT(std::is_sorted(wpRecords_.begin(), wpRecords_.end(),
+                             [](const WpRecord &a, const WpRecord &b) {
+                                 return a.ts < b.ts;
+                             }),
+              "wrong-path records out of ts order");
+    wpRecords_.erase(
+        std::upper_bound(wpRecords_.begin(), wpRecords_.end(), flushTs,
+                         [](SeqNum ts, const WpRecord &w) {
+                             return ts < w.ts;
+                         }),
+        wpRecords_.end());
     if (wpConsumeIdx_ > wpRecords_.size())
         wpConsumeIdx_ = wpRecords_.size();
     while (!bbInfoQ_.empty() && bbInfoQ_.back().baseTs > flushTs)
         bbInfoQ_.pop_back();
 
-    // Undo renames youngest-first and release physical registers.
-    std::sort(squashed.begin(), squashed.end(),
-              [](const DynInst *a, const DynInst *b) {
-                  return a->ts > b->ts;
-              });
-
     // Restore the poison bits to their state before the oldest
     // squashed regular rename (they are RAT state and flush with it).
-    for (auto it = squashed.rbegin(); it != squashed.rend(); ++it) {
+    for (auto it = squashed_.rbegin();
+         it != squashed_.rend() - firstRenamed; ++it) {
         if ((*it)->hasPoisonSnapshot) {
             rat_.setPoisonBits((*it)->poisonSnapshot);
             break;
         }
     }
 
-    for (DynInst *inst : squashed) {
+    // Undo renames (ROB entries, youngest first) and release
+    // physical registers.
+    for (DynInst *inst : squashed_) {
         if (inst->uop.writesReg()) {
             if (inst->renamedRegular)
                 rat_.undo(inst->uop.dst, inst->oldPhysDst);
@@ -700,9 +749,11 @@ Core::squashYoungerThan(SeqNum flushTs)
         }
         if (inst->physDst != kInvalidReg)
             prf_.release(inst->physDst);
-        DynInst **slot = criticalByTs_.find(inst->ts);
-        if (slot && *slot == inst)
-            criticalByTs_.erase(inst->ts);
+        if (inst->renamedCritical) {
+            DynInst **slot = criticalByTs_.find(inst->ts);
+            if (slot && *slot == inst)
+                criticalByTs_.erase(inst->ts);
+        }
         destroyInst(inst);
     }
 
@@ -744,8 +795,9 @@ Core::recoverFromBranch(DynInst *branch)
         exitRunahead(); // before the checkpoint rewind below
 
     squashYoungerThan(flushTs);
-    SIM_ASSERT(branch->hasBpCheckpoint, "branch without checkpoint");
-    bp_.recover(branch->bpCheckpoint, branch->taken, branch->pc);
+    SIM_ASSERT(branch->hasBpCheckpoint(), "branch without checkpoint");
+    bp_.recover(bpCkptPool_.at(branch->bpCkpt), branch->taken,
+                branch->pc);
 
     fetchStallUntil_ = now_ + config_.mispredictRedirect;
     lastFetchLine_ = ~Addr{0};
@@ -842,6 +894,33 @@ Core::memoryOrderViolation(DynInst *load)
 // ---------------------------------------------------------------------
 // Audit walks
 // ---------------------------------------------------------------------
+
+void
+Core::auditBpCheckpoints() const
+{
+    std::vector<std::uint8_t> owned(bpCkptPool_.capacity(), 0);
+    std::size_t owners = 0;
+    const auto own = [&](std::uint32_t h, const char *who, SeqNum ts) {
+        SIM_ASSERT(bpCkptPool_.alive(h), who, " ts ", ts,
+                   " holds dead checkpoint handle ", h);
+        SIM_ASSERT(!owned[h], "checkpoint handle ", h,
+                   " is owned twice (again by ", who, " ts ", ts, ")");
+        owned[h] = 1;
+        ++owners;
+    };
+    for (std::uint32_t i = inflightHead_; i != kNoInst;
+         i = inflightPool_.at(i).nextIdx) {
+        const DynInst &inst = inflightPool_.at(i);
+        if (inst.hasBpCheckpoint())
+            own(inst.bpCkpt, "instruction", inst.ts);
+    }
+    for (const DbqCheckpoint &c : dbqCkpts_)
+        own(c.ckpt, "DBQ checkpoint", c.ts);
+    SIM_ASSERT(owners == bpCkptPool_.liveCount(),
+               "checkpoint pool holds ", bpCkptPool_.liveCount(),
+               " live handles but only ", owners,
+               " have an owner (leak)");
+}
 
 void
 Core::auditLsqRobAge() const

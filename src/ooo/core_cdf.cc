@@ -92,7 +92,7 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
-    dbqCkpts_.clear();
+    clearDbqCheckpoints();
     criticalByTs_.clear();
 
     applyPartitionCaps();
@@ -162,7 +162,7 @@ Core::finishCdfExit()
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
-    dbqCkpts_.clear();
+    clearDbqCheckpoints();
     rat_.clearAllPoison();
     // Note: the CMQ may still hold entries for critical uops that
     // are fetched but not yet replayed by regular rename; rename
@@ -186,7 +186,7 @@ Core::abortCdfMode()
     critWpStuck_ = false;
     cdfWalker_.deactivate();
     critOnPath_ = true;
-    dbqCkpts_.clear();
+    clearDbqCheckpoints();
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
@@ -225,32 +225,22 @@ Core::fetchCriticalCdf(unsigned &budget)
                 // Wrong path: functionally walk the whole block now
                 // so the regular stream has records to consume.
                 // Commit records only if the whole block is walkable.
-                std::vector<WpRecord> walked;
-                walked.reserve(critTrace_.blockLength);
-                bool ok = true;
+                const std::size_t base = wpRecords_.size();
                 for (unsigned off = 0; off < critTrace_.blockLength;
                      ++off) {
                     const Addr pc = critTrace_.startPc + off;
                     if (!oracle_.program().validPc(pc) ||
                         oracle_.program().at(pc).isHalt()) {
-                        ok = false;
-                        break;
+                        wpRecords_.resize(base);
+                        critTraceValid_ = false;
+                        critWpStuck_ = true;
+                        return;
                     }
-                    WpRecord w;
-                    w.rec = cdfWalker_.execute(pc);
-                    w.ts = critWpNextTs_ + off;
-                    w.critical = false;
-                    walked.push_back(w);
-                }
-                if (!ok) {
-                    critTraceValid_ = false;
-                    critWpStuck_ = true;
-                    return;
+                    wpRecords_.push_back({cdfWalker_.execute(pc),
+                                          critWpNextTs_ + off, false});
                 }
                 critWpNextTs_ += critTrace_.blockLength;
-                critWpBbBase_ = wpRecords_.size();
-                for (auto &w : walked)
-                    wpRecords_.push_back(std::move(w));
+                critWpBbBase_ = base;
                 for (const auto &tu : critTrace_.uops) {
                     wpRecords_[critWpBbBase_ + tu.offsetInBlock]
                         .critical = true;
@@ -258,12 +248,8 @@ Core::fetchCriticalCdf(unsigned &budget)
             } else {
                 // On-path: publish this BB's criticality bits for
                 // the regular fetch stream.
-                BbInfo info;
-                info.baseTs = critFetchBaseTs_;
-                info.critBits.assign(critTrace_.blockLength, false);
-                for (const auto &tu : critTrace_.uops)
-                    info.critBits[tu.offsetInBlock] = true;
-                bbInfoQ_.push_back(std::move(info));
+                bbInfoQ_.emplace_back().assign(critTrace_,
+                                               critFetchBaseTs_);
             }
         }
 
@@ -280,7 +266,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             if (budget == 0 || critQ_.full())
                 return;
 
-            isa::ExecRecord rec;
+            const isa::ExecRecord *rec;
             SeqNum ts;
             if (critOnPath_) {
                 ts = critFetchBaseTs_ + tu.offsetInBlock;
@@ -288,18 +274,18 @@ Core::fetchCriticalCdf(unsigned &budget)
                     beginCdfExit(); // program ends inside this block
                     return;
                 }
-                rec = oracle_.at(ts);
-                SIM_ASSERT(rec.pc ==
+                rec = &oracle_.at(ts);
+                SIM_ASSERT(rec->pc ==
                                critTrace_.startPc + tu.offsetInBlock,
                            "critical fetch desynchronized from oracle");
             } else {
                 const WpRecord &w =
                     wpRecords_[critWpBbBase_ + tu.offsetInBlock];
-                rec = w.rec;
+                rec = &w.rec;
                 ts = w.ts;
             }
 
-            DynInst *inst = makeInst(rec, ts, critOnPath_);
+            DynInst *inst = makeInst(*rec, ts, critOnPath_);
             inst->critical = true;
             inst->criticalStream = true;
             inst->cdfFetched = true;
@@ -330,7 +316,7 @@ Core::fetchCriticalCdf(unsigned &budget)
         const isa::Uop &buop = oracle_.program().at(branchPc);
         SIM_ASSERT(buop.isBranch(), "trace branchPc is not a branch");
 
-        bp::BpCheckpoint ckpt = bp_.checkpoint();
+        const std::uint32_t ckpt = takeBpCheckpoint();
         bp::BranchPrediction pred = bp_.predict(branchPc, buop);
 
         SeqNum branchTs;
@@ -338,6 +324,7 @@ Core::fetchCriticalCdf(unsigned &budget)
         if (critOnPath_) {
             branchTs = critFetchBaseTs_ + len - 1;
             if (!oracle_.hasRecord(branchTs)) {
+                bpCkptPool_.free(ckpt);
                 beginCdfExit();
                 return;
             }
@@ -352,18 +339,14 @@ Core::fetchCriticalCdf(unsigned &budget)
         dbq_->push({branchTs, pred.taken, pred.target});
 
         if (branchCritical) {
-            isa::ExecRecord rec;
-            if (critOnPath_) {
-                rec = oracle_.at(branchTs);
-            } else {
-                rec = wpRecords_[critWpBbBase_ + len - 1].rec;
-            }
+            const isa::ExecRecord &rec =
+                critOnPath_ ? oracle_.at(branchTs)
+                            : wpRecords_[critWpBbBase_ + len - 1].rec;
             DynInst *binst = makeInst(rec, branchTs, critOnPath_);
             binst->critical = true;
             binst->criticalStream = true;
             binst->cdfFetched = true;
-            binst->hasBpCheckpoint = true;
-            binst->bpCheckpoint = ckpt;
+            binst->bpCkpt = ckpt;
             binst->predTaken = pred.taken;
             binst->predTarget = pred.target;
             binst->btbMissBubble = pred.btbMiss;
@@ -373,8 +356,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             --budget;
             ++statBranches_;
         } else {
-            dbqCkpts_.push_back(
-                {branchTs, ckpt, misp, pred.btbMiss, pred.tageInfo});
+            dbqCkpts_.push_back({branchTs, ckpt, pred.btbMiss});
         }
 
         const Addr nextPc = pred.taken ? pred.target : branchPc + 1;
@@ -425,7 +407,7 @@ Core::fetchRegularCdf(unsigned &budget)
             return;
         }
 
-        isa::ExecRecord rec;
+        const isa::ExecRecord *recp;
         SeqNum ts;
         bool onPath;
         bool critFlag = false;
@@ -433,30 +415,32 @@ Core::fetchRegularCdf(unsigned &budget)
         if (!regWrongPath_) {
             if (regNextTs_ >= critCoveredUpTo_)
                 return; // the critical fetch leads; wait
-            rec = oracle_.at(regNextTs_);
+            recp = &oracle_.at(regNextTs_);
             ts = regNextTs_;
             onPath = true;
 
             // Criticality bits from the BB info queue.
             while (!bbInfoQ_.empty()) {
                 const BbInfo &bi = bbInfoQ_.front();
-                if (ts >= bi.baseTs + bi.critBits.size()) {
+                if (ts >= bi.endTs()) {
                     bbInfoQ_.pop_front();
                     continue;
                 }
                 if (ts >= bi.baseTs)
-                    critFlag = bi.critBits[ts - bi.baseTs];
+                    critFlag = bi.critical(
+                        static_cast<unsigned>(ts - bi.baseTs));
                 break;
             }
         } else {
             if (wpConsumeIdx_ >= wpRecords_.size())
                 return; // wait for the critical fetch's walker
             const WpRecord &w = wpRecords_[wpConsumeIdx_];
-            rec = w.rec;
+            recp = &w.rec;
             ts = w.ts;
             critFlag = w.critical;
             onPath = false;
         }
+        const isa::ExecRecord &rec = *recp;
 
         // Branches need their DBQ entry; without it the stream
         // cannot know which way to go yet.
@@ -484,14 +468,13 @@ Core::fetchRegularCdf(unsigned &budget)
 
             if (!critFlag) {
                 // Non-critical branch: it executes in the backend
-                // via the regular stream and carries the checkpoint
-                // taken at critical-fetch prediction time.
+                // via the regular stream and takes over the
+                // checkpoint taken at critical-fetch prediction time.
                 auto it = std::find_if(
                     dbqCkpts_.begin(), dbqCkpts_.end(),
                     [&](const DbqCheckpoint &c) { return c.ts == ts; });
                 if (it != dbqCkpts_.end()) {
-                    inst->hasBpCheckpoint = true;
-                    inst->bpCheckpoint = it->ckpt;
+                    inst->bpCkpt = it->ckpt;
                     inst->btbMissBubble = it->btbMiss;
                     dbqCkpts_.erase(it);
                 }

@@ -4,11 +4,12 @@
  * rename-map audit walk that restore leans on.
  *
  * Serialization order mirrors the member declaration order of
- * ooo::Core, with one deliberate exception: the in-flight slab pool
- * is written FIRST so restore can re-materialize every DynInst
- * before any container that references instructions by pool handle
- * is decoded. Host-only measurement state (stage profile, idle-skip
- * bookkeeping, audit samplers) is excluded, which keeps the payload
+ * ooo::Core, with one deliberate exception: the branch-checkpoint
+ * and in-flight slab pools are written FIRST so restore can
+ * re-materialize every checkpoint and DynInst before anything that
+ * references them by pool handle is decoded. Host-only measurement
+ * state (stage profile, idle-skip bookkeeping, audit samplers, the
+ * squash scratch buffer) is excluded, which keeps the payload
  * independent of the profileStages/skipIdleCycles host knobs; those
  * counters are reset to zero on restore. The stat registry is
  * snapshotted by the owning Simulator, never here.
@@ -86,7 +87,10 @@ Core::saveState(SnapWriter &w) const
     rat_.save(w);
     critRat_.save(w);
 
-    // The in-flight pool before anything that references it.
+    // The pools before anything that references them.
+    bpCkptPool_.save(w, [](SnapWriter &sw, const bp::BpCheckpoint &c) {
+        bp::save(sw, c);
+    });
     inflightPool_.save(
         w, [](SnapWriter &sw, const DynInst &d) { d.save(sw); });
     w.u32(inflightHead_);
@@ -206,9 +210,11 @@ Core::saveState(SnapWriter &w) const
     w.u32(static_cast<std::uint32_t>(bbInfoQ_.size()));
     for (const BbInfo &bb : bbInfoQ_) {
         w.u64(bb.baseTs);
-        w.u32(static_cast<std::uint32_t>(bb.critBits.size()));
-        for (bool bit : bb.critBits)
-            w.b(bit);
+        w.u32(bb.length);
+        w.u64(bb.mask);
+        w.u32(static_cast<std::uint32_t>(bb.highOffsets.size()));
+        for (unsigned off : bb.highOffsets)
+            w.u32(off);
     }
 
     w.u32(static_cast<std::uint32_t>(wpRecords_.size()));
@@ -222,10 +228,8 @@ Core::saveState(SnapWriter &w) const
     w.u32(static_cast<std::uint32_t>(dbqCkpts_.size()));
     for (const DbqCheckpoint &c : dbqCkpts_) {
         w.u64(c.ts);
-        bp::save(w, c.ckpt);
-        w.b(c.mispredicted);
+        w.u32(c.ckpt);
         w.b(c.btbMiss);
-        bp::save(w, c.tageInfo);
     }
     w.b(critWpStuck_);
 
@@ -285,6 +289,9 @@ Core::restoreState(SnapReader &r)
     rat_.restore(r);
     critRat_.restore(r);
 
+    bpCkptPool_.restore(r, [](SnapReader &sr, bp::BpCheckpoint &c) {
+        bp::restore(sr, c);
+    });
     inflightPool_.restore(
         r, [](SnapReader &sr, DynInst &d) { d.restore(sr); });
     inflightHead_ = r.u32();
@@ -404,9 +411,11 @@ Core::restoreState(SnapReader &r)
     bbInfoQ_.resize(r.u32());
     for (BbInfo &bb : bbInfoQ_) {
         bb.baseTs = r.u64();
-        bb.critBits.resize(r.u32());
-        for (std::size_t i = 0; i < bb.critBits.size(); ++i)
-            bb.critBits[i] = r.b();
+        bb.length = r.u32();
+        bb.mask = r.u64();
+        bb.highOffsets.resize(r.u32());
+        for (unsigned &off : bb.highOffsets)
+            off = r.u32();
     }
 
     wpRecords_.resize(r.u32());
@@ -420,10 +429,8 @@ Core::restoreState(SnapReader &r)
     dbqCkpts_.resize(r.u32());
     for (DbqCheckpoint &c : dbqCkpts_) {
         c.ts = r.u64();
-        bp::restore(r, c.ckpt);
-        c.mispredicted = r.b();
+        c.ckpt = r.u32();
         c.btbMiss = r.b();
-        bp::restore(r, c.tageInfo);
     }
     critWpStuck_ = r.b();
 
@@ -470,7 +477,10 @@ Core::restoreState(SnapReader &r)
     skipEvents_ = 0;
     skipRecheckAt_ = 0;
 
-    SIM_AUDIT_ONLY(auditRenameMaps();)
+    SIM_AUDIT_ONLY({
+        auditRenameMaps();
+        auditBpCheckpoints();
+    })
 }
 
 void

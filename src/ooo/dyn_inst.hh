@@ -52,7 +52,6 @@ struct DynInst
     Addr predTarget = 0;
     bool mispredicted = false; //!< prediction differed from outcome
     bool btbMissBubble = false;
-    bp::TagePredictionInfo tageInfo; //!< for resolution-time training
 
     // --- Rename state ---
     RegId physDst = kInvalidReg;
@@ -81,8 +80,10 @@ struct DynInst
     bool addrKnown = false;    //!< agen done (memory disambiguation)
 
     // --- Recovery state ---
-    bool hasBpCheckpoint = false;
-    bp::BpCheckpoint bpCheckpoint;
+    /** Handle of this branch's predictor checkpoint in the core's
+     *  checkpoint pool (kNoInst: none). Only branches hold one, so
+     *  the ~0.7 KB checkpoint lives off the instruction record. */
+    std::uint32_t bpCkpt = kNoInst;
     /** Transient mark set while a squash collects its victims. */
     bool doomed = false;
 
@@ -92,10 +93,14 @@ struct DynInst
     std::uint32_t prevIdx = kNoInst;
     std::uint32_t nextIdx = kNoInst;
 
+    // --- Branch training (cold: read once, at resolution) ---
+    bp::TagePredictionInfo tageInfo;
+
     bool isLoad() const { return uop.isLoad(); }
     bool isStore() const { return uop.isStore(); }
     bool isBranch() const { return uop.isBranch(); }
     bool completed() const { return state == InstState::Completed; }
+    bool hasBpCheckpoint() const { return bpCkpt != kNoInst; }
 
     /** 8-byte-aligned word address for disambiguation. */
     Addr memWord() const { return memAddr >> 3; }
@@ -120,7 +125,6 @@ struct DynInst
         w.u64(predTarget);
         w.b(mispredicted);
         w.b(btbMissBubble);
-        bp::save(w, tageInfo);
         w.u16(physDst);
         w.u16(oldPhysDst);
         w.u16(oldPhysDstCrit);
@@ -140,12 +144,12 @@ struct DynInst
         w.b(l1Miss);
         w.u64(forwardSrcTs);
         w.b(addrKnown);
-        w.b(hasBpCheckpoint);
-        bp::save(w, bpCheckpoint);
+        w.u32(bpCkpt);
         w.b(doomed);
         w.u32(poolIdx);
         w.u32(prevIdx);
         w.u32(nextIdx);
+        bp::save(w, tageInfo);
     }
 
     void
@@ -166,7 +170,6 @@ struct DynInst
         predTarget = r.u64();
         mispredicted = r.b();
         btbMissBubble = r.b();
-        bp::restore(r, tageInfo);
         physDst = r.u16();
         oldPhysDst = r.u16();
         oldPhysDstCrit = r.u16();
@@ -186,16 +189,20 @@ struct DynInst
         l1Miss = r.b();
         forwardSrcTs = r.u64();
         addrKnown = r.b();
-        hasBpCheckpoint = r.b();
-        bp::restore(r, bpCheckpoint);
+        bpCkpt = r.u32();
         doomed = r.b();
         poolIdx = r.u32();
         prevIdx = r.u32();
         nextIdx = r.u32();
+        bp::restore(r, tageInfo);
     }
 
-    SIM_SNAPSHOT_FIELDS(41);
+    SIM_SNAPSHOT_FIELDS(40);
 };
+
+// Every fetched uop carries one of these; keep it small enough that
+// the in-flight pool stays cache-resident.
+static_assert(sizeof(DynInst) <= 320, "DynInst grew past 320 bytes");
 
 } // namespace cdfsim::ooo
 

@@ -11,6 +11,8 @@
 #ifndef CDFSIM_OOO_LSQ_HH
 #define CDFSIM_OOO_LSQ_HH
 
+#include <algorithm>
+#include <array>
 #include <deque>
 
 #include "common/audit.hh"
@@ -84,6 +86,13 @@ class MemQueue
     std::size_t occupancy() const { return crit_.size() + nonCrit_.size(); }
     std::size_t criticalOccupancy() const { return crit_.size(); }
     std::size_t nonCriticalOccupancy() const { return nonCrit_.size(); }
+
+    /** Both sections, each in ascending timestamp order. */
+    std::array<const std::deque<DynInst *> *, 2>
+    sections() const
+    {
+        return {&crit_, &nonCrit_};
+    }
 
     /** Visit every entry (both sections), in no particular order. */
     template <typename Fn>
@@ -179,29 +188,43 @@ class Lsq
 
     /**
      * Store-to-load forwarding search for @p load (whose address is
-     * known): the youngest older store to the same word.
+     * known): the youngest older store to the same word whose
+     * address is known. Each section is age-ordered, so its scan
+     * starts at the youngest store older than the load and stops at
+     * the first match.
      *
-     * @return the store, or nullptr. @p blockedOnUnknownAddr is set
-     * when an older store with an unresolved address exists — the
-     * caller decides whether to speculate past it.
+     * @return the store, or nullptr. When @p olderUnknownAddr is
+     * non-null it is set iff an older store with an unresolved
+     * address exists — the caller decides whether to speculate past
+     * it (that report scans every older store).
      */
     DynInst *
     forwardingStore(const DynInst *load, bool *olderUnknownAddr) const
     {
         DynInst *best = nullptr;
         bool unknown = false;
-        sq_.forEach([&](DynInst *st) {
-            if (st->ts >= load->ts)
-                return;
-            if (!st->addrKnown) {
-                unknown = true;
-                return;
+        for (const auto *q : sq_.sections()) {
+            auto it = std::lower_bound(
+                q->begin(), q->end(), load->ts,
+                [](const DynInst *e, SeqNum ts) { return e->ts < ts; });
+            while (it != q->begin()) {
+                DynInst *st = *--it;
+                if (!st->addrKnown) {
+                    unknown = true;
+                    continue;
+                }
+                if (st->memWord() == load->memWord()) {
+                    if (!best || st->ts > best->ts)
+                        best = st;
+                    break;
+                }
             }
-            if (st->memWord() != load->memWord())
-                return;
-            if (!best || st->ts > best->ts)
-                best = st;
-        });
+            if (olderUnknownAddr && !unknown) {
+                unknown = std::any_of(
+                    q->begin(), it,
+                    [](const DynInst *st) { return !st->addrKnown; });
+            }
+        }
         if (olderUnknownAddr)
             *olderUnknownAddr = unknown;
         return best;
@@ -210,25 +233,36 @@ class Lsq
     /**
      * Ordering-violation search when @p store resolves its address:
      * the OLDEST younger load on the same word that already executed
-     * and did not forward from this store or a younger one.
+     * and did not forward from this store or a younger one. Each
+     * section's scan starts at its oldest load younger than the
+     * store and stops at the first match (or once it cannot beat
+     * the other section's).
      */
     DynInst *
     violatingLoad(const DynInst *store) const
     {
         DynInst *worst = nullptr;
-        lq_.forEach([&](DynInst *ld) {
-            if (ld->ts <= store->ts || !ld->addrKnown)
-                return;
-            if (ld->state != InstState::Issued &&
-                ld->state != InstState::Completed)
-                return;
-            if (ld->memWord() != store->memWord())
-                return;
-            if (ld->forwardSrcTs >= store->ts)
-                return; // got its data from this store or younger
-            if (!worst || ld->ts < worst->ts)
+        for (const auto *q : lq_.sections()) {
+            auto it = std::upper_bound(
+                q->begin(), q->end(), store->ts,
+                [](SeqNum ts, const DynInst *e) { return ts < e->ts; });
+            for (; it != q->end(); ++it) {
+                DynInst *ld = *it;
+                if (worst && ld->ts > worst->ts)
+                    break;
+                if (!ld->addrKnown)
+                    continue;
+                if (ld->state != InstState::Issued &&
+                    ld->state != InstState::Completed)
+                    continue;
+                if (ld->memWord() != store->memWord())
+                    continue;
+                if (ld->forwardSrcTs >= store->ts)
+                    continue; // got its data from this store or younger
                 worst = ld;
-        });
+                break;
+            }
+        }
         return worst;
     }
 

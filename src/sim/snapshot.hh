@@ -33,7 +33,7 @@ namespace cdfsim::sim
 
 /** Bumped whenever any save()/restore() layout changes. Stale
  *  on-disk checkpoints are rejected, never migrated. */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 1;
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

@@ -350,6 +350,55 @@ struct AuditPeer
         return false;
     }
 
+    // --- Core: branch-checkpoint pool ------------------------------
+
+    /** Allocate a checkpoint slot nobody owns — the leak a missed
+     *  free on some squash or clear path would leave. */
+    static void
+    leakBpCheckpoint(ooo::Core &c)
+    {
+        c.bpCkptPool_.allocate();
+    }
+
+    /** Point a second in-flight instruction at a live instruction's
+     *  checkpoint handle (the shape of a copied-not-moved handoff). */
+    static bool
+    shareBpCheckpoint(ooo::Core &c)
+    {
+        ooo::DynInst *holder = nullptr;
+        ooo::DynInst *other = nullptr;
+        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+             i = c.inflightPool_.at(i).nextIdx) {
+            ooo::DynInst &inst = c.inflightPool_.at(i);
+            if (!holder && inst.hasBpCheckpoint())
+                holder = &inst;
+            else if (!other && !inst.hasBpCheckpoint())
+                other = &inst;
+        }
+        if (!holder || !other)
+            return false;
+        other->bpCkpt = holder->bpCkpt;
+        return true;
+    }
+
+    /** Hand a pending DBQ checkpoint's handle to an in-flight
+     *  instruction as well, without removing the DBQ entry. */
+    static bool
+    shareDbqCheckpoint(ooo::Core &c)
+    {
+        if (c.dbqCkpts_.empty())
+            return false;
+        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+             i = c.inflightPool_.at(i).nextIdx) {
+            ooo::DynInst &inst = c.inflightPool_.at(i);
+            if (!inst.hasBpCheckpoint()) {
+                inst.bpCkpt = c.dbqCkpts_.front().ckpt;
+                return true;
+            }
+        }
+        return false;
+    }
+
     // --- Core: rename maps ------------------------------------------
 
     /** Point an arch reg at a physical register that does not exist. */
@@ -584,6 +633,31 @@ TEST_F(AuditSystem, LsqRobFiresOnVanishedRobEntry)
     EXPECT_THROW(c.auditLsqRobAge(), PanicError);
 }
 
+// ------------------------------------------------- checkpoint pool
+
+TEST_F(AuditSystem, BpCheckpointsSilentOnDrivenCore)
+{
+    EXPECT_NO_THROW(core().auditBpCheckpoints());
+}
+
+TEST_F(AuditSystem, BpCheckpointsFireOnLeakedHandle)
+{
+    AuditPeer::leakBpCheckpoint(core());
+    EXPECT_THROW(core().auditBpCheckpoints(), PanicError);
+}
+
+TEST_F(AuditSystem, BpCheckpointsFireOnDoublyOwnedHandle)
+{
+    auto &c = core();
+    bool corrupted = AuditPeer::shareBpCheckpoint(c);
+    for (int i = 0; i < 64 && !corrupted && !c.halted(); ++i) {
+        c.run(c.retired() + 2'000);
+        corrupted = AuditPeer::shareBpCheckpoint(c);
+    }
+    ASSERT_TRUE(corrupted) << "never saw an in-flight branch";
+    EXPECT_THROW(c.auditBpCheckpoints(), PanicError);
+}
+
 // ------------------------------------------------- CDF side tables
 
 /**
@@ -637,6 +711,7 @@ TEST_F(AuditSystemCdf, SideTablesSilentOnDrivenCore)
     EXPECT_NO_THROW(AuditPeer::maskCache(c)->auditInvariants());
     EXPECT_NO_THROW(c.auditRenameMaps());
     EXPECT_NO_THROW(c.auditLsqRobAge());
+    EXPECT_NO_THROW(c.auditBpCheckpoints());
 }
 
 TEST_F(AuditSystemCdf, CctFiresOnDuplicateTag)
@@ -692,6 +767,13 @@ TEST_F(AuditSystemCdf, CritRatFiresOnDuplicateMapping)
     expectFires(
         [](auto &c) { return AuditPeer::critRatDuplicateMapping(c); },
         [](auto &c) { c.auditRenameMaps(); });
+}
+
+TEST_F(AuditSystemCdf, BpCheckpointsFireOnDbqHandleSharedWithInst)
+{
+    expectFires(
+        [](auto &c) { return AuditPeer::shareDbqCheckpoint(c); },
+        [](auto &c) { c.auditBpCheckpoints(); });
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bp/btb.hh"
 #include "bp/predictor.hh"
 #include "bp/tage.hh"
@@ -204,7 +206,42 @@ TEST(Ras, SnapshotRestore)
     EXPECT_EQ(ras.pop(), 11u);
 }
 
+TEST(Ras, SnapshotIsExactAtFullInlineDepth)
+{
+    // A wrapped stack at the inline capacity must come back entry
+    // for entry, including the slots the wrap overwrote.
+    Ras ras(kMaxRasDepth);
+    for (Addr a = 1; a <= kMaxRasDepth + 5; ++a)
+        ras.push(a);
+    const auto snap = ras.snapshot();
+    for (int i = 0; i < 7; ++i)
+        ras.pop();
+    ras.push(999);
+    ras.restore(snap);
+    for (Addr a = kMaxRasDepth + 5; a > 5; --a)
+        EXPECT_EQ(ras.pop(), a);
+    EXPECT_EQ(ras.pop(), 0u);
+}
+
 // --- BranchPredictor facade ---
+
+TEST(Predictor, RasDepthBeyondInlineCapacityIsFatal)
+{
+    StatRegistry s;
+    PredictorConfig config;
+    config.rasDepth = kMaxRasDepth + 1;
+    try {
+        BranchPredictor bp(config, s);
+        FAIL() << "oversized RAS depth accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      std::to_string(kMaxRasDepth)),
+                  std::string::npos)
+            << "message must name the limit: " << e.what();
+    }
+    config.rasDepth = kMaxRasDepth;
+    EXPECT_NO_THROW(BranchPredictor(config, s));
+}
 
 TEST(Predictor, DirectJumpPredictsTargetWithBtbMissBubble)
 {

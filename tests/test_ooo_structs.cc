@@ -3,11 +3,16 @@
  * Unit tests for the OoO backend structures: the partitioned ROB,
  * the partitioned load/store queues with timestamp disambiguation,
  * the reservation stations' critical-first selection, and the
- * rename map / physical register file.
+ * rename map / physical register file, and the per-block
+ * criticality bits CDF hands from critical to regular fetch.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "common/random.hh"
+#include "ooo/core.hh"
 #include "ooo/lsq.hh"
 #include "ooo/rename.hh"
 #include "ooo/rob.hh"
@@ -219,6 +224,105 @@ TEST(Lsq, OlderLoadsAreNeverViolations)
     EXPECT_EQ(lsq.violatingLoad(&st), nullptr);
 }
 
+namespace
+{
+
+/** Full-scan reference for Lsq::forwardingStore. */
+DynInst *
+naiveForwardingStore(const Lsq &lsq, const DynInst *load, bool *unknown)
+{
+    DynInst *best = nullptr;
+    *unknown = false;
+    lsq.sq().forEach([&](DynInst *st) {
+        if (st->ts >= load->ts)
+            return;
+        if (!st->addrKnown) {
+            *unknown = true;
+            return;
+        }
+        if (st->memWord() != load->memWord())
+            return;
+        if (!best || st->ts > best->ts)
+            best = st;
+    });
+    return best;
+}
+
+/** Full-scan reference for Lsq::violatingLoad. */
+DynInst *
+naiveViolatingLoad(const Lsq &lsq, const DynInst *store)
+{
+    DynInst *worst = nullptr;
+    lsq.lq().forEach([&](DynInst *ld) {
+        if (ld->ts <= store->ts || !ld->addrKnown)
+            return;
+        if (ld->state != InstState::Issued &&
+            ld->state != InstState::Completed)
+            return;
+        if (ld->memWord() != store->memWord())
+            return;
+        if (ld->forwardSrcTs >= store->ts)
+            return;
+        if (!worst || ld->ts < worst->ts)
+            worst = ld;
+    });
+    return worst;
+}
+
+} // namespace
+
+TEST(Lsq, BoundedSearchesMatchFullScanFuzz)
+{
+    // Random interleavings of critical and non-critical sections,
+    // stores with unresolved addresses, loads in every state, and
+    // loads that forwarded from older, equal or younger stores; a
+    // handful of words so matches and near-misses are both common.
+    Random rng(0xF00D);
+    for (int round = 0; round < 400; ++round) {
+        Lsq lsq(48, 48);
+        const unsigned cap = static_cast<unsigned>(rng.below(49));
+        lsq.lq().setCriticalCap(cap);
+        lsq.sq().setCriticalCap(cap);
+        std::deque<DynInst> insts; // stable addresses
+        SeqNum ts = 1 + rng.below(4);
+        const unsigned n = 1 + static_cast<unsigned>(rng.below(60));
+        for (unsigned i = 0; i < n; ++i, ts += 1 + rng.below(3)) {
+            const bool isStore = rng.below(2) == 0;
+            const Addr addr = rng.below(4) * 8 + rng.below(8);
+            DynInst &d = insts.emplace_back(
+                makeMem(ts, addr, isStore, rng.below(5) != 0));
+            d.state = static_cast<InstState>(rng.below(4));
+            if (!isStore && rng.below(3) == 0)
+                d.forwardSrcTs = rng.below(ts);
+            MemQueue &q = isStore ? lsq.sq() : lsq.lq();
+            const bool crit = rng.below(2) == 0;
+            if (q.canInsert(crit))
+                q.insert(&d, crit);
+            else if (q.canInsert(!crit))
+                q.insert(&d, !crit);
+        }
+        for (int probe = 0; probe < 24; ++probe) {
+            const SeqNum at = rng.below(ts + 2);
+            const Addr addr = rng.below(4) * 8 + rng.below(8);
+
+            DynInst ld = makeMem(at, addr, false);
+            bool unknown = false;
+            bool naiveUnknown = false;
+            DynInst *want = naiveForwardingStore(lsq, &ld, &naiveUnknown);
+            EXPECT_EQ(lsq.forwardingStore(&ld, &unknown), want)
+                << "round " << round << " load ts " << at;
+            EXPECT_EQ(unknown, naiveUnknown)
+                << "round " << round << " load ts " << at;
+            EXPECT_EQ(lsq.forwardingStore(&ld, nullptr), want);
+
+            DynInst st = makeMem(at, addr, true);
+            EXPECT_EQ(lsq.violatingLoad(&st),
+                      naiveViolatingLoad(lsq, &st))
+                << "round " << round << " store ts " << at;
+        }
+    }
+}
+
 TEST(MemQueue, PartitionedCapacityAndRetire)
 {
     MemQueue q(4);
@@ -391,4 +495,37 @@ TEST(PhysRegFile, ExhaustionPanics)
         prf.allocate();
     EXPECT_FALSE(prf.hasFree());
     EXPECT_THROW(prf.allocate(), PanicError);
+}
+
+// --- BbInfo ---
+
+TEST(BbInfo, CriticalOffsetsBeyondTheMaskWord)
+{
+    // A 100-uop block whose critical uops straddle the 64-bit mask:
+    // offsets >= 64 take the side list, and every other offset must
+    // read as non-critical on both sides of the boundary.
+    cdf::BbTrace trace;
+    trace.blockLength = 100;
+    const std::vector<unsigned> crit = {0, 5, 63, 64, 70, 99};
+    for (unsigned off : crit)
+        trace.uops.push_back({isa::Uop{}, off});
+
+    BbInfo bb;
+    bb.assign(trace, 1000);
+    EXPECT_EQ(bb.baseTs, 1000u);
+    EXPECT_EQ(bb.endTs(), 1100u);
+    for (unsigned off = 0; off < trace.blockLength; ++off) {
+        const bool want =
+            std::find(crit.begin(), crit.end(), off) != crit.end();
+        EXPECT_EQ(bb.critical(off), want) << "offset " << off;
+    }
+
+    // Reuse for a short block drops the old side list.
+    cdf::BbTrace small;
+    small.blockLength = 8;
+    small.uops.push_back({isa::Uop{}, 3});
+    bb.assign(small, 2000);
+    EXPECT_TRUE(bb.highOffsets.empty());
+    for (unsigned off = 0; off < 100; ++off)
+        EXPECT_EQ(bb.critical(off), off == 3) << "offset " << off;
 }

@@ -264,6 +264,25 @@ TEST(SnapshotFile, SaveLoadRoundTrip)
     }
     EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value());
 
+    // A file written under another schema version is rejected: the
+    // payload layout it describes is not this build's. The version
+    // is the little-endian u32 after the 8-byte magic.
+    for (const std::uint32_t other :
+         {sim::kCheckpointSchemaVersion - 1,
+          sim::kCheckpointSchemaVersion + 1}) {
+        ASSERT_TRUE(sim::saveCheckpointFile(path, key, ckpt));
+        ASSERT_TRUE(sim::loadCheckpointFile(path, key).has_value());
+        {
+            std::fstream f(path, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekp(8);
+            for (unsigned b = 0; b < 4; ++b)
+                f.put(static_cast<char>((other >> (8 * b)) & 0xFF));
+        }
+        EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value())
+            << "schema version " << other << " accepted";
+    }
+
     // A truncated file is rejected, not parsed.
     ASSERT_TRUE(sim::saveCheckpointFile(path, key, ckpt));
     std::filesystem::resize_file(path, 20);
