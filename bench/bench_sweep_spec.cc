@@ -1,20 +1,21 @@
 /**
  * @file
- * Generic spec-driven sweep driver: runs any declarative sweep spec
- * (under bench/specs/) through the shared bench harness, so every
- * harness speedup layer — thread pool, --shard, --ckpt-dir,
- * idle-skip, --json artifacts — works on a grid described purely as
- * data. A threshold/partition/window study becomes a spec edit, not
- * a recompile.
+ * The one figure driver: runs a declarative sweep spec (every paper
+ * figure and ablation is one under bench/specs/) through the shared
+ * bench harness, so every harness layer — thread pool, --shard,
+ * --ckpt-dir, idle-skip, --json artifacts — works on a grid
+ * described purely as data. A threshold/partition/window study is a
+ * spec edit, not a recompile.
  *
  *   bench_sweep_spec --spec bench/specs/fig13_speedup.json \
  *       [any bench::Harness flag]
  *
- * Cell expansion order matches the legacy hand-written bench
- * matrices exactly (pinned by the spec_identity ctests), so a
- * spec-driven artifact is bit-identical (modulo "timing") to the
- * figure binary's. The driver prints a generic per-cell table; the
- * figure binaries keep their derived-metric tables and hooks.
+ * The driver prints a per-cell table, then one "name value" line per
+ * member of the spec's derived block, and writes those members to
+ * the artifact's "derived" object. The closing "N cell(s), M failed"
+ * line counts halted, truncated and errored cells (the smoke ctests
+ * gate on it); of those, only errored cells make the exit code
+ * nonzero.
  */
 
 #include <cstdio>
@@ -87,8 +88,8 @@ main(int argc, char **argv)
     // Validate --workloads against everything the spec names (exits
     // with the usual unknown-workload diagnostic); expansion then
     // applies the filter per group with subset-intersection
-    // semantics, like the legacy benches with fixed subsets.
-    h.workloads(spec.workloadUnion());
+    // semantics.
+    h.checkWorkloads(spec.workloadUnion());
     try {
         cells = spec.expand(ooo::CoreConfig{}, h.workloadFilter());
     } catch (const std::exception &e) {
@@ -105,9 +106,10 @@ main(int argc, char **argv)
     h.addCells(std::move(cells));
     h.run();
 
-    bench::printHeader(spec.name() + " (" + specPath + ")",
-                       {"variant", "status", "ipc", "mlp",
-                        "energy_uj"});
+    std::printf("\n== %s (%s) ==\n", spec.name().c_str(),
+                specPath.c_str());
+    std::printf("%-12s %12s %12s %12s %12s %12s\n", "workload",
+                "variant", "status", "ipc", "mlp", "energy_uj");
     for (const auto &o : h.outcomes()) {
         if (o.skipped)
             continue;
@@ -122,6 +124,22 @@ main(int argc, char **argv)
                     o.run.status(), o.run.core.ipc, o.run.core.mlp,
                     o.run.energy.totalUj);
     }
+
+    const std::vector<sim::DerivedValue> derived =
+        spec.evaluateDerived(h.outcomes());
+    if (!derived.empty())
+        std::printf("\n");
+    for (const sim::DerivedValue &d : derived) {
+        if (d.excluded > 0) {
+            std::fprintf(stderr,
+                         "warning: excluded %zu row(s) from %s (failed "
+                         "cell or non-positive value)\n",
+                         d.excluded, d.name.c_str());
+        }
+        std::printf("%s %.6f\n", d.name.c_str(), d.value);
+        h.derived()[d.name] = d.value;
+    }
+
     std::printf("\n%zu cell(s), %zu failed (%u threads)\n",
                 h.outcomes().size(), h.failures(), h.threads());
     return h.finish();

@@ -1,11 +1,12 @@
 /**
  * @file
- * Shared harness for the figure-regeneration benchmark binaries.
+ * Shared harness for the bench drivers: bench_sweep_spec (every
+ * figure and ablation, from a JSON matrix under bench/specs/) and
+ * bench_table1_config.
  *
- * Every bench declares its run matrix as (workload, variant, mode,
- * config, spec) cells, then executes them through sim::SweepRunner
- * on a thread pool and reads results back by (workload, variant).
- * All binaries share one CLI:
+ * A driver queues its matrix as (workload, variant, mode, config,
+ * spec) cells, executes them through sim::SweepRunner on a thread
+ * pool, and writes one JSON artifact. Every driver shares one CLI:
  *
  *   --threads N          worker threads (default: hardware concurrency)
  *   --workloads a,b,c    restrict to a comma-separated subset
@@ -19,7 +20,7 @@
  *
  * --ckpt-dir persists post-warmup simulator snapshots keyed by
  * (workload, mode, warmup-relevant config, warmup length), so
- * figure benches sharing a matrix (fig13, then fig14/15/16) warm
+ * figure specs sharing a matrix (fig13, then fig14/15/16) warm
  * each cell once per DIR instead of once per process. Restoring is
  * bit-identical to warming (sim/snapshot.hh), so artifacts are
  * unchanged outside "timing"; checkpoint traffic is reported in
@@ -48,7 +49,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -58,74 +58,6 @@
 
 namespace cdfsim::bench
 {
-
-/** Default per-benchmark run lengths for the figure harnesses. */
-inline sim::RunSpec
-figureRunSpec()
-{
-    sim::RunSpec spec;
-    spec.warmupInstrs = 300'000;
-    spec.measureInstrs = 200'000;
-    return spec;
-}
-
-/** Print a markdown-ish table header. */
-inline void
-printHeader(const std::string &title,
-            const std::vector<std::string> &cols)
-{
-    std::printf("\n== %s ==\n", title.c_str());
-    std::printf("%-12s", "workload");
-    for (const auto &c : cols)
-        std::printf(" %12s", c.c_str());
-    std::printf("\n");
-}
-
-inline void
-printRow(const std::string &name, const std::vector<double> &vals,
-         const char *fmt = "%12.3f")
-{
-    std::printf("%-12s", name.c_str());
-    for (double v : vals)
-        std::printf(fmt, v);
-    std::printf("\n");
-}
-
-/** Row for a run that produced no trustworthy numbers. */
-inline void
-printStatusRow(const std::string &name, std::size_t cols,
-               const char *status)
-{
-    std::printf("%-12s", name.c_str());
-    for (std::size_t i = 0; i < cols; ++i)
-        std::printf(" %12s", status);
-    std::printf("\n");
-}
-
-/**
- * Geomean over positive ratios only; prints a visible warning when
- * halted/zero rows had to be excluded instead of aborting the whole
- * figure (sim::geomean asserts on non-positive input).
- */
-inline double
-geomeanWarn(const std::vector<double> &ratios, const char *what)
-{
-    std::size_t excluded = 0;
-    const double g = sim::geomeanPositive(ratios, &excluded);
-    if (excluded > 0) {
-        std::fprintf(stderr,
-                     "warning: excluded %zu non-positive %s ratio(s) "
-                     "from the geomean (halted or zero-IPC runs)\n",
-                     excluded, what);
-    }
-    if (ratios.size() == excluded) {
-        std::fprintf(stderr,
-                     "warning: no usable %s ratios; geomean is undefined\n",
-                     what);
-        return std::numeric_limits<double>::quiet_NaN();
-    }
-    return g;
-}
 
 /** The shared bench driver. */
 class Harness
@@ -152,26 +84,11 @@ class Harness
 
     unsigned threads() const { return runner_.threads(); }
 
-    /** Apply the CLI instruction-count overrides to a bench default. */
-    sim::RunSpec
-    spec(sim::RunSpec defaults) const
+    /** Exit 2 with a diagnostic when --workloads names a workload
+     *  outside @p available. */
+    void
+    checkWorkloads(const std::vector<std::string> &available) const
     {
-        if (measureInstrs_ != kUnset)
-            defaults.measureInstrs = measureInstrs_;
-        if (warmupInstrs_ != kUnset)
-            defaults.warmupInstrs = warmupInstrs_;
-        if (maxCycles_ != kUnset)
-            defaults.maxCycles = maxCycles_;
-        return defaults;
-    }
-
-    /** Apply the --workloads filter to the bench's workload list. */
-    std::vector<std::string>
-    workloads(const std::vector<std::string> &available) const
-    {
-        if (workloadFilter_.empty())
-            return available;
-        std::vector<std::string> out;
         for (const auto &want : workloadFilter_) {
             bool known = false;
             for (const auto &a : available)
@@ -183,50 +100,29 @@ class Harness
                              name_.c_str(), want.c_str());
                 std::exit(2);
             }
-            out.push_back(want);
         }
-        return out;
-    }
-
-    /** Queue one cell of the run matrix. */
-    void
-    add(const std::string &workload, const std::string &variant,
-        ooo::CoreMode mode, const ooo::CoreConfig &config,
-        const sim::RunSpec &spec)
-    {
-        sim::SweepCell cell;
-        cell.workload = workload;
-        cell.variant = variant;
-        cell.mode = mode;
-        cell.config = config;
-        cell.spec = spec;
-        add(std::move(cell));
-    }
-
-    /** Queue one pre-built cell (e.g. from SweepSpec::expand). */
-    void
-    add(sim::SweepCell cell)
-    {
-        cell.config.mode = cell.mode;
-        cell.config.profileStages = profile_;
-        index_[{cell.workload, cell.variant}] = cells_.size();
-        cells_.push_back(std::move(cell));
     }
 
     /** Queue a whole expanded matrix, preserving its order. The CLI
      *  window overrides (--measure-instrs & co) are applied to every
-     *  cell, so they keep working through spec-driven benches. */
+     *  cell. */
     void
     addCells(std::vector<sim::SweepCell> cells)
     {
         for (auto &cell : cells) {
-            cell.spec = spec(cell.spec);
-            add(std::move(cell));
+            if (measureInstrs_ != kUnset)
+                cell.spec.measureInstrs = measureInstrs_;
+            if (warmupInstrs_ != kUnset)
+                cell.spec.warmupInstrs = warmupInstrs_;
+            if (maxCycles_ != kUnset)
+                cell.spec.maxCycles = maxCycles_;
+            cell.config.mode = cell.mode;
+            cell.config.profileStages = profile_;
+            cells_.push_back(std::move(cell));
         }
     }
 
-    /** The raw --workloads filter (empty when the flag was absent),
-     *  for matrix builders with their own subset semantics. */
+    /** The raw --workloads filter (empty when the flag was absent). */
     const std::vector<std::string> &
     workloadFilter() const
     {
@@ -352,30 +248,6 @@ class Harness
                     static_cast<double>(totalNs),
                 static_cast<unsigned long long>(p.mem.accesses[l]));
         }
-    }
-
-    const sim::SweepOutcome &
-    outcome(const std::string &workload,
-            const std::string &variant) const
-    {
-        auto it = index_.find({workload, variant});
-        if (it == index_.end())
-            fatal("no sweep cell ", workload, "/", variant);
-        return outcomes_.at(it->second);
-    }
-
-    const sim::RunResult &
-    get(const std::string &workload, const std::string &variant) const
-    {
-        return outcome(workload, variant).run;
-    }
-
-    /** True when the (workload, variant) run can feed a figure. */
-    bool
-    ok(const std::string &workload, const std::string &variant) const
-    {
-        const sim::SweepOutcome &o = outcome(workload, variant);
-        return !o.skipped && !o.failed();
     }
 
     std::size_t
@@ -714,7 +586,6 @@ class Harness
 
     sim::SweepRunner runner_{1};
     std::vector<sim::SweepCell> cells_;
-    std::map<std::pair<std::string, std::string>, std::size_t> index_;
     std::vector<sim::SweepOutcome> outcomes_;
     double wallSeconds_ = 0.0;
     Json derived_;

@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
+#include "energy/energy_model.hh"
+#include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
 namespace cdfsim::sim
@@ -193,7 +197,20 @@ applyConfigOverride(ooo::CoreConfig &config, const std::string &key,
 
     // Core-level knobs.
     if (key == "scale_window") {
-        config.scaleWindow(needNumber(value, where));
+        if (value.type() != Json::Type::String) {
+            config.scaleWindow(needNumber(value, where));
+            return;
+        }
+        if (value.asString() != "cdf_area_equivalent")
+            specError(where, "unknown scale_window '" +
+                                 value.asString() +
+                                 "' (want a number or "
+                                 "\"cdf_area_equivalent\")");
+        // Grow the window by CDF's structure area: the baseline a
+        // CDF core's extra silicon would otherwise buy (Fig. 17).
+        const double cdfAreaFrac = energy::Model::cdfArea(config) /
+                                   energy::Model::coreArea(config);
+        config.scaleWindow(1.0 + cdfAreaFrac * 4.0);
         return;
     }
     if (key == "observe_criticality") {
@@ -399,6 +416,170 @@ parseAxis(const Json &obj, const std::string &where)
     return axis;
 }
 
+/**
+ * The axis-value index per axis for every combination of @p g, in
+ * expansion order: first axis outermost (the odometer counts the
+ * LAST axis fastest); zip mode advances every axis together.
+ */
+std::vector<std::vector<std::size_t>>
+axisPicks(const SpecGroup &g)
+{
+    std::size_t combos = 1;
+    if (g.zip && !g.axes.empty()) {
+        combos = g.axes.front().values.size();
+    } else {
+        for (const SpecAxis &axis : g.axes)
+            combos *= axis.values.size();
+    }
+    std::vector<std::vector<std::size_t>> picks;
+    for (std::size_t c = 0; c < combos; ++c) {
+        std::vector<std::size_t> pick(g.axes.size(), 0);
+        std::size_t rem = c;
+        for (std::size_t a = g.axes.size(); a-- > 0;) {
+            if (g.zip) {
+                pick[a] = c;
+            } else {
+                pick[a] = rem % g.axes[a].values.size();
+                rem /= g.axes[a].values.size();
+            }
+        }
+        picks.push_back(std::move(pick));
+    }
+    return picks;
+}
+
+/** A variant's cell name: its name plus "@tag" per non-empty tag. */
+std::string
+taggedName(const SpecGroup &g, const SpecVariant &v,
+           const std::vector<std::size_t> &pick)
+{
+    std::string name = v.name;
+    for (std::size_t a = 0; a < g.axes.size(); ++a) {
+        const std::string &tag = g.axes[a].values[pick[a]].tag;
+        if (!tag.empty())
+            name += "@" + tag;
+    }
+    return name;
+}
+
+/** Every expanded variant name of @p groups (axis tags appended), in
+ *  expansion order, without duplicates. */
+std::vector<std::string>
+variantNames(const std::vector<SpecGroup> &groups)
+{
+    std::vector<std::string> out;
+    for (const SpecGroup &g : groups) {
+        for (const auto &pick : axisPicks(g)) {
+            for (const SpecVariant &v : g.variants) {
+                std::string name = taggedName(g, v, pick);
+                if (std::find(out.begin(), out.end(), name) ==
+                    out.end())
+                    out.push_back(std::move(name));
+            }
+        }
+    }
+    return out;
+}
+
+/** The number at dotted @p path inside artifact run @p row, or
+ *  nullptr when the path names no numeric member. */
+const Json *
+findMetric(const Json &row, const std::string &path)
+{
+    const Json *node = &row;
+    std::size_t start = 0;
+    for (;;) {
+        if (node->type() != Json::Type::Object)
+            return nullptr;
+        const std::size_t dot = path.find('.', start);
+        node = node->find(path.substr(
+            start, dot == std::string::npos ? dot : dot - start));
+        if (node == nullptr || dot == std::string::npos)
+            break;
+        start = dot + 1;
+    }
+    if (node == nullptr || (node->type() != Json::Type::Int &&
+                            node->type() != Json::Type::Uint &&
+                            node->type() != Json::Type::Double))
+        return nullptr;
+    return node;
+}
+
+/** A metric path valid in every run row: it must resolve in the row
+ *  of a default outcome, which carries every core/energy member. */
+const std::string &
+needMetric(const Json &v, const std::string &where)
+{
+    const std::string &path = needString(v, where);
+    if (findMetric(toJson(SweepOutcome{}), path) == nullptr)
+        specError(where, "unknown metric '" + path +
+                             "' (want a numeric run-row member, "
+                             "e.g. core.ipc)");
+    return path;
+}
+
+const std::string &
+needVariant(const Json &v, const std::string &where,
+            const std::vector<std::string> &variants)
+{
+    const std::string &name = needString(v, where);
+    if (std::find(variants.begin(), variants.end(), name) ==
+        variants.end())
+        specError(where, "unknown variant '" + name + "'");
+    return name;
+}
+
+SpecDerived
+parseDerived(const Json &obj, const std::string &where,
+             const std::vector<std::string> &variants)
+{
+    needObject(obj, where);
+    rejectUnknownMembers(obj, where,
+                         {"name", "metric", "variant", "relative_to",
+                          "agg", "filter"});
+    auto required = [&](const char *member) -> const Json & {
+        const Json *v = obj.find(member);
+        if (!v)
+            specError(where, std::string("derived member needs a \"") +
+                                 member + "\"");
+        return *v;
+    };
+    SpecDerived d;
+    d.name = needString(required("name"), where + ".name");
+    if (d.name.empty())
+        specError(where + ".name", "name must be non-empty");
+    d.metric = needMetric(required("metric"), where + ".metric");
+    d.variant = needVariant(required("variant"), where + ".variant",
+                            variants);
+    if (const Json *rel = obj.find("relative_to"))
+        d.relativeTo =
+            needVariant(*rel, where + ".relative_to", variants);
+    const std::string &agg =
+        needString(required("agg"), where + ".agg");
+    if (agg == "geomean")
+        d.agg = SpecDerived::Agg::Geomean;
+    else if (agg == "mean")
+        d.agg = SpecDerived::Agg::Mean;
+    else
+        specError(where + ".agg",
+                  "unknown agg '" + agg + "' (want geomean or mean)");
+    if (const Json *filter = obj.find("filter")) {
+        const std::string fw = where + ".filter";
+        needObject(*filter, fw);
+        rejectUnknownMembers(*filter, fw, {"variant", "metric", "gt"});
+        const Json *fv = filter->find("variant");
+        const Json *fm = filter->find("metric");
+        const Json *gt = filter->find("gt");
+        if (!fv || !fm || !gt)
+            specError(fw, "filter needs \"variant\", \"metric\" and "
+                          "\"gt\"");
+        d.filterVariant = needVariant(*fv, fw + ".variant", variants);
+        d.filterMetric = needMetric(*fm, fw + ".metric");
+        d.filterGt = needNumber(*gt, fw + ".gt");
+    }
+    return d;
+}
+
 } // namespace
 
 SpecGroup &
@@ -451,7 +632,7 @@ SweepSpec::fromJson(const Json &doc, const std::string &where)
     needObject(doc, where);
     rejectUnknownMembers(doc, where,
                          {"sweep", "schema_version", "defaults",
-                          "workload_sets", "groups"});
+                          "workload_sets", "groups", "derived"});
     const Json *name = doc.find("sweep");
     if (!name)
         specError(where, "spec needs a \"sweep\" name");
@@ -479,7 +660,7 @@ SweepSpec::fromJson(const Json &doc, const std::string &where)
                 names.push_back(needString(
                     list.items()[i],
                     sw + "[" + std::to_string(i) + "]"));
-            spec.defineWorkloadSet(setName, std::move(names));
+            spec.workloadSets_.emplace_back(setName, std::move(names));
         }
     }
 
@@ -551,6 +732,25 @@ SweepSpec::fromJson(const Json &doc, const std::string &where)
             }
         }
     }
+
+    if (const Json *derived = doc.find("derived")) {
+        needArray(*derived, where + ".derived");
+        const std::vector<std::string> variants =
+            variantNames(spec.groups_);
+        for (std::size_t di = 0; di < derived->items().size(); ++di) {
+            const std::string dw =
+                where + ".derived[" + std::to_string(di) + "]";
+            SpecDerived d =
+                parseDerived(derived->items()[di], dw, variants);
+            for (const SpecDerived &prev : spec.derived_) {
+                if (prev.name == d.name)
+                    specError(dw + ".name",
+                              "duplicate derived name '" + d.name +
+                                  "'");
+            }
+            spec.derived_.push_back(std::move(d));
+        }
+    }
     return spec;
 }
 
@@ -595,9 +795,8 @@ SweepSpec::expand(const ooo::CoreConfig &base,
             name_ + ": groups[" + std::to_string(gi) + "]";
 
         // --workloads semantics: restrict to the filter, in FILTER
-        // order (the legacy benches iterate h.workloads(), which
-        // preserves the user's order). Groups whose workloads are
-        // all filtered out contribute nothing.
+        // order (the user's order). Groups whose workloads are all
+        // filtered out contribute nothing.
         std::vector<std::string> effective;
         if (filter.empty()) {
             effective = g.workloads;
@@ -609,31 +808,7 @@ SweepSpec::expand(const ooo::CoreConfig &base,
             }
         }
 
-        // Axis-value combinations, first axis outermost. The
-        // odometer counts the LAST axis fastest; zip mode advances
-        // every axis together.
-        std::size_t combos = 1;
-        if (g.zip && !g.axes.empty()) {
-            combos = g.axes.front().values.size();
-        } else {
-            for (const SpecAxis &axis : g.axes)
-                combos *= axis.values.size();
-        }
-
-        for (std::size_t c = 0; c < combos; ++c) {
-            // Per-axis value index for combination c.
-            std::vector<std::size_t> pick(g.axes.size(), 0);
-            if (g.zip) {
-                for (std::size_t a = 0; a < g.axes.size(); ++a)
-                    pick[a] = c;
-            } else {
-                std::size_t rem = c;
-                for (std::size_t a = g.axes.size(); a-- > 0;) {
-                    pick[a] = rem % g.axes[a].values.size();
-                    rem /= g.axes[a].values.size();
-                }
-            }
-
+        for (const auto &pick : axisPicks(g)) {
             for (const auto &workload : effective) {
                 for (std::size_t vi = 0; vi < g.variants.size();
                      ++vi) {
@@ -648,7 +823,6 @@ SweepSpec::expand(const ooo::CoreConfig &base,
                     cell.spec = defaults_;
                     g.window.applyTo(cell.spec);
 
-                    std::string variantName = v.name;
                     for (std::size_t a = 0; a < g.axes.size(); ++a) {
                         const SpecAxisValue &val =
                             g.axes[a].values[pick[a]];
@@ -658,8 +832,6 @@ SweepSpec::expand(const ooo::CoreConfig &base,
                                 gw + ".axes[" + std::to_string(a) +
                                     "].config." + o.key);
                         val.window.applyTo(cell.spec);
-                        if (!val.tag.empty())
-                            variantName += "@" + val.tag;
                     }
                     for (const SpecOverride &o : v.config)
                         applyConfigOverride(cell.config, o.key,
@@ -667,7 +839,7 @@ SweepSpec::expand(const ooo::CoreConfig &base,
                                             vw + ".config." + o.key);
                     v.window.applyTo(cell.spec);
 
-                    cell.variant = std::move(variantName);
+                    cell.variant = taggedName(g, v, pick);
                     cell.config.mode = cell.mode;
 
                     const std::string id =
@@ -680,6 +852,87 @@ SweepSpec::expand(const ooo::CoreConfig &base,
         }
     }
     return cells;
+}
+
+std::vector<DerivedValue>
+SweepSpec::evaluateDerived(
+    const std::vector<SweepOutcome> &outcomes) const
+{
+    std::map<std::pair<std::string, std::string>, std::size_t> index;
+    std::vector<Json> rows(outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].skipped)
+            continue;
+        index[{outcomes[i].cell.workload, outcomes[i].cell.variant}] =
+            i;
+        rows[i] = toJson(outcomes[i]);
+    }
+
+    // One cell's metric: Absent when the cell is not in this run (a
+    // skipped shard cell), Failed when it cannot feed an aggregate.
+    enum class Read { Absent, Failed, Ok };
+    auto read = [&](const std::string &workload,
+                    const std::string &variant,
+                    const std::string &metric, double &value) {
+        const auto it = index.find({workload, variant});
+        if (it == index.end())
+            return Read::Absent;
+        if (outcomes[it->second].failed())
+            return Read::Failed;
+        value = findMetric(rows[it->second], metric)->asNumber();
+        return Read::Ok;
+    };
+
+    std::vector<DerivedValue> out;
+    for (const SpecDerived &d : derived_) {
+        DerivedValue dv;
+        dv.name = d.name;
+        std::vector<double> values;
+        for (const SweepOutcome &o : outcomes) {
+            if (o.skipped || o.cell.variant != d.variant)
+                continue;
+            const std::string &workload = o.cell.workload;
+            Read got = Read::Ok;
+            if (!d.filterVariant.empty()) {
+                double gate = 0.0;
+                got = read(workload, d.filterVariant, d.filterMetric,
+                           gate);
+                if (got == Read::Ok && !(gate > d.filterGt))
+                    continue;
+            }
+            double value = 0.0;
+            double divisor = 1.0;
+            if (got == Read::Ok)
+                got = read(workload, d.variant, d.metric, value);
+            if (got == Read::Ok && !d.relativeTo.empty())
+                got = read(workload, d.relativeTo, d.metric, divisor);
+            if (got == Read::Absent)
+                continue;
+            if (got == Read::Failed || !(divisor > 0.0)) {
+                ++dv.excluded;
+                continue;
+            }
+            values.push_back(d.relativeTo.empty() ? value
+                                                  : value / divisor);
+        }
+
+        std::size_t usable = values.size();
+        if (d.agg == SpecDerived::Agg::Geomean) {
+            std::size_t nonPositive = 0;
+            dv.value = geomeanPositive(values, &nonPositive);
+            dv.excluded += nonPositive;
+            usable -= nonPositive;
+        } else {
+            double sum = 0.0;
+            for (double v : values)
+                sum += v;
+            dv.value = sum / static_cast<double>(usable);
+        }
+        if (usable == 0)
+            dv.value = std::numeric_limits<double>::quiet_NaN();
+        out.push_back(std::move(dv));
+    }
+    return out;
 }
 
 } // namespace cdfsim::sim

@@ -1,24 +1,24 @@
 /**
  * @file
- * Declarative sweep descriptions (ROADMAP: "Config sweeps as data").
+ * Declarative sweep descriptions: every figure and ablation matrix,
+ * as data.
  *
- * Every figure/ablation bench runs the same shape of matrix —
- * (workload x mode x config overrides x run window) — but each used
- * to hand-write it as C++ loops. SweepSpec is the data form of that
- * matrix: named workload sets, variant lists, config-override axes
- * (cross-product or zipped) and run-window overrides, expanded into
- * the exact SweepCell list SweepRunner consumes. A spec can be built
- * in C++ (the bench binaries declare their grids this way) or parsed
- * from a schema-versioned JSON file (under `bench/specs/`, run by
- * the generic `bench_sweep_spec` driver), and both forms expand to
- * identical cell lists.
+ * Every figure/ablation runs the same shape of matrix — (workload x
+ * mode x config overrides x run window) — plus a few aggregates over
+ * it ("geomean over the workloads of metric(variant) /
+ * metric(base)"). SweepSpec is the data form of both: named workload
+ * sets, variant lists, config-override axes (cross-product or
+ * zipped) and run-window overrides, expanded into the exact
+ * SweepCell list SweepRunner consumes, and a `derived` block of
+ * aggregates evaluated over the finished cells. Specs are
+ * schema-versioned JSON files under `bench/specs/`, run by the
+ * `bench_sweep_spec` driver.
  *
  * Expansion order is deterministic and part of the contract: for
  * each group in declaration order, for each axis-value combination
  * (first axis outermost; zipped axes advance in lockstep), for each
- * workload, for each variant. This reproduces the legacy bench
- * loops cell-for-cell, which the spec-vs-legacy identity ctests
- * pin at bench_compare --tolerance 0.
+ * workload, for each variant. Shards (--shard) and artifacts are
+ * defined over that order.
  *
  * Validation failures throw std::runtime_error with a message that
  * names the offending spec path (e.g. "groups[2].variants[1].mode").
@@ -77,14 +77,6 @@ struct SpecAxisValue
     std::string tag;
     std::vector<SpecOverride> config;
     SpecWindow window;
-
-    /** Builder sugar: append one config override. */
-    SpecAxisValue &
-    set(std::string key, Json value)
-    {
-        config.push_back({std::move(key), std::move(value)});
-        return *this;
-    }
 };
 
 /** One config-override axis (e.g. the Fig. 17 window scale). */
@@ -92,14 +84,6 @@ struct SpecAxis
 {
     std::string name;
     std::vector<SpecAxisValue> values;
-
-    /** Builder sugar: append a value and return it for .set(). */
-    SpecAxisValue &
-    value(std::string tag)
-    {
-        values.push_back({std::move(tag), {}, {}});
-        return values.back();
-    }
 };
 
 /** One run variant within a group (e.g. "cdf_nobr"). */
@@ -109,14 +93,6 @@ struct SpecVariant
     ooo::CoreMode mode = ooo::CoreMode::Baseline;
     std::vector<SpecOverride> config;
     SpecWindow window;
-
-    /** Builder sugar: append one config override. */
-    SpecVariant &
-    set(std::string key, Json value)
-    {
-        config.push_back({std::move(key), std::move(value)});
-        return *this;
-    }
 };
 
 /** A (workloads x axes x variants) block of the matrix. */
@@ -129,22 +105,43 @@ struct SpecGroup
     bool zip = false;
     SpecWindow window;
     std::vector<SpecVariant> variants;
+};
 
-    /** Builder sugar: append a variant and return it for .set(). */
-    SpecVariant &
-    variant(std::string name, ooo::CoreMode mode)
-    {
-        variants.push_back({std::move(name), mode, {}, {}});
-        return variants.back();
-    }
+/**
+ * One aggregate over the finished matrix: @p agg over the workloads
+ * of metric(variant), or of metric(variant) / metric(relativeTo)
+ * when relativeTo is set. A non-empty filterVariant keeps only the
+ * workloads whose filterVariant cell has filterMetric > filterGt.
+ *
+ * Exclusion rule: a workload's row counts only when every cell it
+ * reads is ok and every value it reads is positive (a geomean needs
+ * positive ratios, a ratio a positive divisor). The one exception is
+ * a `mean` numerator, which may be zero: a zero fraction is a
+ * sample, not a failed run. Metrics are dotted paths to a numeric
+ * member of an artifact run row ("core.ipc", "energy.total_uj").
+ */
+struct SpecDerived
+{
+    enum class Agg { Geomean, Mean };
 
-    /** Builder sugar: append an axis and return it. */
-    SpecAxis &
-    axis(std::string name)
-    {
-        axes.push_back({std::move(name), {}});
-        return axes.back();
-    }
+    std::string name;
+    std::string metric;
+    std::string variant;
+    std::string relativeTo;
+    Agg agg = Agg::Geomean;
+    std::string filterVariant;
+    std::string filterMetric;
+    double filterGt = 0.0;
+};
+
+/** One evaluated aggregate. @p value is NaN when every row was
+ *  excluded or filtered out; @p excluded counts rows dropped by the
+ *  exclusion rule (not by the filter). */
+struct DerivedValue
+{
+    std::string name;
+    double value = 0.0;
+    std::size_t excluded = 0;
 };
 
 /**
@@ -166,28 +163,6 @@ class SweepSpec
 
     const std::string &name() const { return name_; }
 
-    /** The sweep-wide RunSpec every cell starts from. */
-    RunSpec &defaults() { return defaults_; }
-    const RunSpec &defaults() const { return defaults_; }
-
-    /** Define a named workload set usable as "@name" in groups. */
-    void
-    defineWorkloadSet(std::string name,
-                      std::vector<std::string> workloads)
-    {
-        workloadSets_.emplace_back(std::move(name),
-                                   std::move(workloads));
-    }
-
-    /**
-     * Append a group. @p workloads entries may be literal workload
-     * names, "@set" references, or "*" (every workload); they are
-     * resolved and validated immediately. Throws on unknown names.
-     */
-    SpecGroup &group(std::vector<std::string> workloads);
-
-    const std::vector<SpecGroup> &groups() const { return groups_; }
-
     /** Every distinct workload any group names, in first-appearance
      *  order — the "available" list for a --workloads filter. */
     std::vector<std::string> workloadUnion() const;
@@ -195,9 +170,9 @@ class SweepSpec
     /**
      * Expand to the cell list, in the documented deterministic
      * order. @p filter, when non-empty, restricts each group to the
-     * filter's workloads in FILTER order (matching the legacy
-     * benches' --workloads semantics); entries no group names are
-     * ignored here — validate them against workloadUnion() first.
+     * filter's workloads in FILTER order (the --workloads
+     * semantics); entries no group names are ignored here —
+     * validate them against workloadUnion() first.
      * Throws std::runtime_error on duplicate (workload, variant)
      * cells or invalid overrides, naming the spec path.
      */
@@ -205,19 +180,40 @@ class SweepSpec
     expand(const ooo::CoreConfig &base,
            const std::vector<std::string> &filter = {}) const;
 
+    /**
+     * Evaluate the derived block over @p outcomes (this spec's
+     * matrix in expansion order; skipped cells — other shards' —
+     * are absent rows, not excluded ones). Rows are visited in
+     * outcome order, so the result is deterministic.
+     */
+    std::vector<DerivedValue>
+    evaluateDerived(const std::vector<SweepOutcome> &outcomes) const;
+
   private:
+    /**
+     * Append a group. @p workloads entries may be literal workload
+     * names, "@set" references (sets defined in workloadSets_), or
+     * "*" (every workload); they are resolved and validated
+     * immediately. Throws on unknown names.
+     */
+    SpecGroup &group(std::vector<std::string> workloads);
+
     std::string name_;
     RunSpec defaults_{};
     std::vector<std::pair<std::string, std::vector<std::string>>>
         workloadSets_;
     std::vector<SpecGroup> groups_;
+    std::vector<SpecDerived> derived_;
 };
 
 /**
  * Apply one dotted snake_case override (see the README schema table
  * for the key registry) to @p config. "scale_window" is an action:
- * it calls CoreConfig::scaleWindow. Throws std::runtime_error
- * prefixed with @p where on unknown keys or type mismatches.
+ * it calls CoreConfig::scaleWindow with a number, or with the string
+ * "cdf_area_equivalent" the factor that grows @p config's window by
+ * CDF's structure area (1 + 4 * cdfArea / coreArea, the Fig. 17
+ * area-equivalent baseline). Throws std::runtime_error prefixed with
+ * @p where on unknown keys or type mismatches.
  */
 void applyConfigOverride(ooo::CoreConfig &config,
                          const std::string &key, const Json &value,

@@ -2,18 +2,20 @@
  * @file
  * Unit tests for sim::SweepSpec: deterministic expansion order
  * (groups -> axis combinations -> workloads -> variants), product vs
- * zipped axes, --workloads filter semantics, builder/JSON
- * equivalence, the config-override registry, and the validation
- * errors that must name the offending spec path.
+ * zipped axes, --workloads filter semantics, the config-override
+ * registry, the derived block's aggregates and exclusion rule, and
+ * the validation errors that must name the offending spec path.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "energy/energy_model.hh"
 #include "ooo/core_config.hh"
 #include "sim/sweep_spec.hh"
 #include "workloads/workloads.hh"
@@ -22,6 +24,7 @@ using cdfsim::Json;
 using cdfsim::ooo::CoreConfig;
 using cdfsim::ooo::CoreMode;
 using cdfsim::sim::SweepCell;
+using cdfsim::sim::SweepOutcome;
 using cdfsim::sim::SweepSpec;
 
 namespace
@@ -45,6 +48,31 @@ parseOrDie(const std::string &text)
     return doc;
 }
 
+/** A spec named "t" whose remaining top-level members are @p body
+ *  (JSON object members without the enclosing braces). */
+SweepSpec
+specOf(const std::string &body)
+{
+    return SweepSpec::fromJson(
+        parseOrDie(R"({"sweep": "t", "schema_version": 1, )" + body +
+                   "}"),
+        "spec");
+}
+
+/** An ok outcome of cell @p workload/@p variant with the given IPC
+ *  and MLP. */
+SweepOutcome
+outcome(const std::string &workload, const std::string &variant,
+        double ipc, double mlp = 1.0)
+{
+    SweepOutcome o;
+    o.cell.workload = workload;
+    o.cell.variant = variant;
+    o.run.core.ipc = ipc;
+    o.run.core.mlp = mlp;
+    return o;
+}
+
 /** EXPECT that @p fn throws std::runtime_error whose message
  *  contains @p needle (the spec path naming the offense). */
 template <typename Fn>
@@ -65,10 +93,10 @@ expectSpecError(Fn &&fn, const std::string &needle)
 
 TEST(SweepSpec, ExpansionOrderIsWorkloadOuterVariantInner)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar", "mcf"});
-    g.variant("base", CoreMode::Baseline);
-    g.variant("cdf", CoreMode::Cdf);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar", "mcf"],
+        "variants": [{"name": "base", "mode": "baseline"},
+                     {"name": "cdf", "mode": "cdf"}]}])");
 
     const auto cells = spec.expand(CoreConfig{});
     EXPECT_EQ(cellIds(cells),
@@ -80,9 +108,11 @@ TEST(SweepSpec, ExpansionOrderIsWorkloadOuterVariantInner)
 
 TEST(SweepSpec, GroupsExpandInDeclarationOrder)
 {
-    SweepSpec spec("t");
-    spec.group({"mcf"}).variant("cdf", CoreMode::Cdf);
-    spec.group({"astar"}).variant("base", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"("groups": [
+        {"workloads": ["mcf"],
+         "variants": [{"name": "cdf", "mode": "cdf"}]},
+        {"workloads": ["astar"],
+         "variants": [{"name": "base", "mode": "baseline"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"mcf/cdf", "astar/base"}));
@@ -90,15 +120,13 @@ TEST(SweepSpec, GroupsExpandInDeclarationOrder)
 
 TEST(SweepSpec, ProductAxesFirstAxisOutermost)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    auto &outer = g.axis("outer");
-    outer.value("o1");
-    outer.value("o2");
-    auto &inner = g.axis("inner");
-    inner.value("i1");
-    inner.value("i2");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "axes": [{"name": "outer", "values": [{"tag": "o1"},
+                                             {"tag": "o2"}]},
+                 {"name": "inner", "values": [{"tag": "i1"},
+                                             {"tag": "i2"}]}],
+        "variants": [{"name": "v", "mode": "baseline"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{
@@ -108,16 +136,14 @@ TEST(SweepSpec, ProductAxesFirstAxisOutermost)
 
 TEST(SweepSpec, ZippedAxesAdvanceInLockstep)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.zip = true;
-    auto &a = g.axis("a");
-    a.value("a1");
-    a.value("a2");
-    auto &b = g.axis("b");
-    b.value("b1");
-    b.value("b2");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "zip": true,
+        "axes": [{"name": "a", "values": [{"tag": "a1"},
+                                         {"tag": "a2"}]},
+                 {"name": "b", "values": [{"tag": "b1"},
+                                         {"tag": "b2"}]}],
+        "variants": [{"name": "v", "mode": "baseline"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"astar/v@a1@b1",
@@ -126,10 +152,10 @@ TEST(SweepSpec, ZippedAxesAdvanceInLockstep)
 
 TEST(SweepSpec, EmptyAxisTagAddsNoSuffix)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.axis("a").value("");
-    g.variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "axes": [{"name": "a", "values": [{"tag": ""}]}],
+        "variants": [{"name": "v", "mode": "baseline"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"astar/v"}));
@@ -137,9 +163,9 @@ TEST(SweepSpec, EmptyAxisTagAddsNoSuffix)
 
 TEST(SweepSpec, FilterRestrictsToFilterOrder)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar", "mcf", "lbm"});
-    g.variant("base", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar", "mcf", "lbm"],
+        "variants": [{"name": "base", "mode": "baseline"}]}])");
 
     // Filter order wins over group order, and unmatched entries in
     // the group vanish.
@@ -151,9 +177,11 @@ TEST(SweepSpec, FilterRestrictsToFilterOrder)
 
 TEST(SweepSpec, FilterCanEmptyOutAGroup)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"}).variant("base", CoreMode::Baseline);
-    spec.group({"mcf"}).variant("cdf", CoreMode::Cdf);
+    const SweepSpec spec = specOf(R"("groups": [
+        {"workloads": ["astar"],
+         "variants": [{"name": "base", "mode": "baseline"}]},
+        {"workloads": ["mcf"],
+         "variants": [{"name": "cdf", "mode": "cdf"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{}, {"mcf"})),
               (std::vector<std::string>{"mcf/cdf"}));
@@ -161,16 +189,15 @@ TEST(SweepSpec, FilterCanEmptyOutAGroup)
 
 TEST(SweepSpec, WindowLayersDefaultsGroupAxisVariant)
 {
-    SweepSpec spec("t");
-    spec.defaults().warmupInstrs = 1'000;
-    spec.defaults().measureInstrs = 2'000;
-    spec.defaults().maxCycles = 3'000;
-
-    auto &g = spec.group({"astar"});
-    g.window.measureInstrs = 20;
-    auto &v = g.variant("v", CoreMode::Baseline);
-    v.window.maxCycles = 30;
-    g.variant("w", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"(
+        "defaults": {"warmup_instrs": 1000, "measure_instrs": 2000,
+                     "max_cycles": 3000},
+        "groups": [{
+            "workloads": ["astar"],
+            "spec": {"measure_instrs": 20},
+            "variants": [{"name": "v", "mode": "baseline",
+                          "spec": {"max_cycles": 30}},
+                         {"name": "w", "mode": "baseline"}]}])");
 
     const auto cells = spec.expand(CoreConfig{});
     ASSERT_EQ(cells.size(), 2u);
@@ -182,12 +209,14 @@ TEST(SweepSpec, WindowLayersDefaultsGroupAxisVariant)
 
 TEST(SweepSpec, ConfigOverridesApplyAxisThenVariant)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.axis("size").value("big").set("rob_size", 512);
-    g.variant("v", CoreMode::Cdf)
-        .set("rob_size", 64)
-        .set("cdf.partition.dynamic", false);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "axes": [{"name": "size",
+                  "values": [{"tag": "big",
+                              "config": {"rob_size": 512}}]}],
+        "variants": [{"name": "v", "mode": "cdf",
+                      "config": {"rob_size": 64,
+                                 "cdf.partition.dynamic": false}}]}])");
 
     const auto cells = spec.expand(CoreConfig{});
     ASSERT_EQ(cells.size(), 1u);
@@ -210,62 +239,200 @@ TEST(SweepSpec, ScaleWindowOverrideMatchesCoreConfigScaleWindow)
     EXPECT_EQ(viaSpec.physRegs, direct.physRegs);
 }
 
+TEST(SweepSpec, AreaEquivalentScaleMatchesEnergyModel)
+{
+    using cdfsim::energy::Model;
+    const CoreConfig base;
+    CoreConfig direct = base;
+    direct.scaleWindow(1.0 + 4.0 * Model::cdfArea(base) /
+                                 Model::coreArea(base));
+
+    CoreConfig viaSpec = base;
+    cdfsim::sim::applyConfigOverride(viaSpec, "scale_window",
+                                     Json("cdf_area_equivalent"),
+                                     "here");
+    EXPECT_GT(viaSpec.robSize, base.robSize);
+    EXPECT_EQ(viaSpec.robSize, direct.robSize);
+    EXPECT_EQ(viaSpec.rsSize, direct.rsSize);
+    EXPECT_EQ(viaSpec.lqSize, direct.lqSize);
+    EXPECT_EQ(viaSpec.sqSize, direct.sqSize);
+    EXPECT_EQ(viaSpec.physRegs, direct.physRegs);
+
+    expectSpecError(
+        [] {
+            CoreConfig c;
+            cdfsim::sim::applyConfigOverride(
+                c, "scale_window", Json("huge"), "here");
+        },
+        "unknown scale_window 'huge'");
+}
+
 TEST(SweepSpec, WorkloadSetAndStarResolve)
 {
-    SweepSpec spec("t");
-    spec.defineWorkloadSet("pair", {"mcf", "astar"});
-    spec.group({"@pair"}).variant("v", CoreMode::Baseline);
+    const SweepSpec spec = specOf(R"(
+        "workload_sets": {"pair": ["mcf", "astar"]},
+        "groups": [{"workloads": ["@pair"],
+                    "variants": [{"name": "v", "mode": "baseline"}]}])");
 
     EXPECT_EQ(cellIds(spec.expand(CoreConfig{})),
               (std::vector<std::string>{"mcf/v", "astar/v"}));
 
-    SweepSpec all("t2");
-    all.group({"*"}).variant("v", CoreMode::Baseline);
+    const SweepSpec all = specOf(R"("groups": [{
+        "workloads": ["*"],
+        "variants": [{"name": "v", "mode": "baseline"}]}])");
     EXPECT_EQ(
         all.workloadUnion(),
         cdfsim::workloads::allWorkloadNames());
 }
 
-TEST(SweepSpec, JsonAndBuilderExpandIdentically)
+// ---------------------------------------------------- derived block
+
+TEST(SweepSpec, DerivedExcludesZeroRowsInsteadOfFlooring)
 {
-    const Json doc = parseOrDie(R"({
-        "sweep": "t",
-        "schema_version": 1,
-        "defaults": {"warmup_instrs": 10, "measure_instrs": 20,
-                     "max_cycles": 30},
-        "groups": [{
-            "workloads": ["astar", "mcf"],
-            "variants": [
-                {"name": "base", "mode": "baseline"},
-                {"name": "cdf_nobr", "mode": "cdf",
-                 "config": {"cdf.mark_critical_branches": false}}
-            ]
-        }]
-    })");
-    const SweepSpec fromJson = SweepSpec::fromJson(doc, "spec");
+    const SweepSpec spec = specOf(R"(
+        "groups": [{"workloads": ["astar", "mcf", "lbm", "soplex"],
+                    "variants": [{"name": "base", "mode": "baseline"},
+                                 {"name": "cdf", "mode": "cdf"}]}],
+        "derived": [{"name": "speedup", "metric": "core.ipc",
+                     "variant": "cdf", "relative_to": "base",
+                     "agg": "geomean"}])");
 
-    SweepSpec built("t");
-    built.defaults().warmupInstrs = 10;
-    built.defaults().measureInstrs = 20;
-    built.defaults().maxCycles = 30;
-    auto &g = built.group({"astar", "mcf"});
-    g.variant("base", CoreMode::Baseline);
-    g.variant("cdf_nobr", CoreMode::Cdf)
-        .set("cdf.mark_critical_branches", false);
+    const std::vector<SweepOutcome> outcomes = {
+        outcome("astar", "base", 1.0), outcome("astar", "cdf", 2.0),
+        // A zero numerator and a zero divisor: both rows drop out.
+        outcome("mcf", "base", 1.0), outcome("mcf", "cdf", 0.0),
+        outcome("lbm", "base", 2.0), outcome("lbm", "cdf", 8.0),
+        outcome("soplex", "base", 0.0), outcome("soplex", "cdf", 1.0)};
+    const auto got = spec.evaluateDerived(outcomes);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].name, "speedup");
+    EXPECT_DOUBLE_EQ(got[0].value, std::sqrt(2.0 * 4.0));
+    EXPECT_EQ(got[0].excluded, 2u);
+}
 
-    const auto a = fromJson.expand(CoreConfig{});
-    const auto b = built.expand(CoreConfig{});
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].workload, b[i].workload);
-        EXPECT_EQ(a[i].variant, b[i].variant);
-        EXPECT_EQ(a[i].mode, b[i].mode);
-        EXPECT_EQ(a[i].spec.warmupInstrs, b[i].spec.warmupInstrs);
-        EXPECT_EQ(a[i].spec.measureInstrs, b[i].spec.measureInstrs);
-        EXPECT_EQ(a[i].spec.maxCycles, b[i].spec.maxCycles);
-        EXPECT_EQ(a[i].config.cdf.markCriticalBranches,
-                  b[i].config.cdf.markCriticalBranches);
-    }
+TEST(SweepSpec, DerivedFailedCellsAreExcludedAndSkippedOnesAbsent)
+{
+    const SweepSpec spec = specOf(R"(
+        "groups": [{"workloads": ["astar", "mcf", "lbm"],
+                    "variants": [{"name": "base", "mode": "baseline"},
+                                 {"name": "cdf", "mode": "cdf"}]}],
+        "derived": [{"name": "speedup", "metric": "core.ipc",
+                     "variant": "cdf", "relative_to": "base",
+                     "agg": "geomean"}])");
+
+    std::vector<SweepOutcome> outcomes = {
+        outcome("astar", "base", 1.0), outcome("astar", "cdf", 3.0),
+        outcome("mcf", "base", 1.0), outcome("mcf", "cdf", 2.0),
+        outcome("lbm", "base", 1.0), outcome("lbm", "cdf", 2.0)};
+    outcomes[2].run.truncated = true; // mcf's divisor cell failed
+    outcomes[5].skipped = true;       // lbm's cdf cell: another shard
+    auto got = spec.evaluateDerived(outcomes);
+    EXPECT_DOUBLE_EQ(got[0].value, 3.0);
+    EXPECT_EQ(got[0].excluded, 1u);
+
+    // Every row excluded: the aggregate is undefined, not 0.
+    outcomes[1].error = "boom";
+    got = spec.evaluateDerived(outcomes);
+    EXPECT_TRUE(std::isnan(got[0].value));
+    EXPECT_EQ(got[0].excluded, 2u);
+}
+
+TEST(SweepSpec, DerivedFilterReadsTheNamedVariant)
+{
+    // The filter thresholds the relative_to variant's MLP, not the
+    // variant being aggregated (Fig. 14's "base MLP > 0.05").
+    const SweepSpec spec = specOf(R"(
+        "groups": [{"workloads": ["astar", "mcf", "lbm"],
+                    "axes": [{"name": "s", "values": [{"tag": "1"}]}],
+                    "variants": [{"name": "base", "mode": "baseline"},
+                                 {"name": "cdf", "mode": "cdf"}]}],
+        "derived": [{"name": "mlp_rel", "metric": "core.mlp",
+                     "variant": "cdf@1", "relative_to": "base@1",
+                     "agg": "geomean",
+                     "filter": {"variant": "base@1",
+                                "metric": "core.mlp", "gt": 0.05}}])");
+
+    const std::vector<SweepOutcome> outcomes = {
+        outcome("astar", "base@1", 1.0, 2.0),
+        outcome("astar", "cdf@1", 1.0, 4.0),
+        outcome("mcf", "base@1", 1.0, 0.01), // filtered out
+        outcome("mcf", "cdf@1", 1.0, 5.0),
+        outcome("lbm", "base@1", 1.0, 1.0),
+        outcome("lbm", "cdf@1", 1.0, 8.0)};
+    const auto got = spec.evaluateDerived(outcomes);
+    EXPECT_DOUBLE_EQ(got[0].value, 4.0); // sqrt(2 * 8)
+    EXPECT_EQ(got[0].excluded, 0u);      // filtering is not exclusion
+}
+
+TEST(SweepSpec, DerivedMeanKeepsZeroSamplesGeomeanDoesNot)
+{
+    const SweepSpec spec = specOf(R"(
+        "groups": [{"workloads": ["astar", "mcf", "lbm"],
+                    "variants": [{"name": "v", "mode": "baseline"}]}],
+        "derived": [
+            {"name": "m", "metric": "core.ipc", "variant": "v",
+             "agg": "mean"},
+            {"name": "g", "metric": "core.ipc", "variant": "v",
+             "agg": "geomean"}])");
+
+    const std::vector<SweepOutcome> outcomes = {
+        outcome("astar", "v", 0.0), outcome("mcf", "v", 1.0),
+        outcome("lbm", "v", 4.0)};
+    const auto got = spec.evaluateDerived(outcomes);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_DOUBLE_EQ(got[0].value, 5.0 / 3.0);
+    EXPECT_EQ(got[0].excluded, 0u);
+    EXPECT_DOUBLE_EQ(got[1].value, 2.0);
+    EXPECT_EQ(got[1].excluded, 1u);
+}
+
+TEST(SweepSpec, DerivedErrorsNameTheOffendingPath)
+{
+    const std::string groups = R"(
+        "groups": [{"workloads": ["astar"],
+                    "variants": [{"name": "base", "mode": "baseline"},
+                                 {"name": "cdf", "mode": "cdf"}]}],
+        "derived": [{"name": "ok", "metric": "core.ipc",
+                     "variant": "cdf", "agg": "mean"}, )";
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "x", "metric": "core.ipc",
+                "variant": "nope", "agg": "geomean"}])");
+        },
+        "spec.derived[1].variant");
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "x", "metric": "core.ipcc",
+                "variant": "cdf", "agg": "geomean"}])");
+        },
+        "spec.derived[1].metric");
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "x", "metric": "core.ipc",
+                "variant": "cdf", "agg": "median"}])");
+        },
+        "spec.derived[1].agg");
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "x", "metric": "core.ipc",
+                "variant": "cdf", "relative_to": "base@2",
+                "agg": "geomean"}])");
+        },
+        "spec.derived[1].relative_to");
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "x", "metric": "core",
+                "variant": "cdf", "agg": "geomean",
+                "filter": {"variant": "base", "metric": "core.mlp",
+                           "gt": 0.05}}])");
+        },
+        "spec.derived[1].metric");
+    expectSpecError(
+        [&] {
+            specOf(groups + R"({"name": "ok", "metric": "core.ipc",
+                "variant": "cdf", "agg": "geomean"}])");
+        },
+        "spec.derived[1].name");
 }
 
 // ------------------------------------------------- validation errors
@@ -337,39 +504,45 @@ TEST(SweepSpec, ErrorsNameTheOffendingPath)
 
 TEST(SweepSpec, UnknownWorkloadAndSetAreRejected)
 {
-    SweepSpec spec("t");
-    expectSpecError([&] { spec.group({"no_such_workload"}); },
-                    "groups[0].workloads");
-    expectSpecError([&] { spec.group({"@no_such_set"}); },
-                    "groups[0].workloads");
+    for (const char *workload : {"no_such_workload", "@no_such_set"}) {
+        expectSpecError(
+            [&] {
+                specOf(std::string(R"("groups": [{"workloads": [")") +
+                       workload + R"("],
+                    "variants": [{"name": "v",
+                                  "mode": "baseline"}]}])");
+            },
+            "spec: groups[0].workloads");
+    }
 }
 
 TEST(SweepSpec, UnknownOverrideKeyIsRejectedAtExpand)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"})
-        .variant("v", CoreMode::Cdf)
-        .set("cdf.no_such_knob", true);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "variants": [{"name": "v", "mode": "cdf",
+                      "config": {"cdf.no_such_knob": true}}]}])");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "groups[0].variants[0].config.cdf.no_such_knob");
 }
 
 TEST(SweepSpec, OverrideTypeMismatchIsRejected)
 {
-    SweepSpec spec("t");
-    spec.group({"astar"})
-        .variant("v", CoreMode::Cdf)
-        .set("cdf.partition.dynamic", 3); // boolean knob
+    // cdf.partition.dynamic is a boolean knob.
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "variants": [{"name": "v", "mode": "cdf",
+                      "config": {"cdf.partition.dynamic": 3}}]}])");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "expected a boolean");
 }
 
 TEST(SweepSpec, DuplicateCellsAreRejected)
 {
-    SweepSpec spec("t");
-    auto &g = spec.group({"astar"});
-    g.variant("v", CoreMode::Baseline);
-    g.variant("v", CoreMode::Cdf);
+    const SweepSpec spec = specOf(R"("groups": [{
+        "workloads": ["astar"],
+        "variants": [{"name": "v", "mode": "baseline"},
+                     {"name": "v", "mode": "cdf"}]}])");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "duplicate cell astar/v");
 }
