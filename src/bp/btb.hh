@@ -55,24 +55,12 @@ class Btb
     }
 
     /** Snapshot all entries (capacity is config-fixed). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u64(e.target);
-        }
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.target = r.u64();
-        }
+        for (Entry &e : entries_)
+            ar(e.valid, e.tag, e.target);
     }
 
   private:
@@ -143,6 +131,15 @@ class Ras
         std::array<Addr, kMaxRasDepth> stack{};
         std::size_t top = 0;
         std::size_t size = 0;
+
+        template <typename Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(stack, top, size);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
 
     Snapshot snapshot() const { return {stack_, top_, size_}; }
@@ -155,23 +152,12 @@ class Ras
         size_ = s.size;
     }
 
-    /** Snapshot stream codec (depth is config-fixed). */
+    /** Snapshot the live stack (depth is config-fixed). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        for (std::size_t i = 0; i < depth_; ++i)
-            w.u64(stack_[i]);
-        w.u64(top_);
-        w.u64(size_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (std::size_t i = 0; i < depth_; ++i)
-            stack_[i] = r.u64();
-        top_ = static_cast<std::size_t>(r.u64());
-        size_ = static_cast<std::size_t>(r.u64());
+        ar(std::span(stack_.data(), depth_), top_, size_);
     }
 
   private:
@@ -182,25 +168,6 @@ class Ras
     std::size_t top_ = 0;
     std::size_t size_ = 0;
 };
-
-/** Snapshot codec for the copyable RAS checkpoint. */
-inline void
-save(SnapWriter &w, const Ras::Snapshot &s)
-{
-    for (Addr a : s.stack)
-        w.u64(a);
-    w.u64(s.top);
-    w.u64(s.size);
-}
-
-inline void
-restore(SnapReader &r, Ras::Snapshot &s)
-{
-    for (Addr &a : s.stack)
-        a = r.u64();
-    s.top = static_cast<std::size_t>(r.u64());
-    s.size = static_cast<std::size_t>(r.u64());
-}
 
 } // namespace cdfsim::bp
 

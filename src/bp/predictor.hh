@@ -38,22 +38,16 @@ struct BpCheckpoint
 {
     TageCheckpoint tage;
     Ras::Snapshot ras;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(tage, ras);
+    }
+
+    SIM_SNAPSHOT_FIELDS(2);
 };
-
-/** Snapshot codec for BpCheckpoint. */
-inline void
-save(SnapWriter &w, const BpCheckpoint &c)
-{
-    save(w, c.tage);
-    save(w, c.ras);
-}
-
-inline void
-restore(SnapReader &r, BpCheckpoint &c)
-{
-    restore(r, c.tage);
-    restore(r, c.ras);
-}
 
 /** Predictor configuration. */
 struct PredictorConfig
@@ -100,20 +94,11 @@ class BranchPredictor
     Tage &tage() { return tage_; }
 
     /** Snapshot every predictor structure. */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        tage_.save(w);
-        btb_.save(w);
-        ras_.save(w);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        tage_.restore(r);
-        btb_.restore(r);
-        ras_.restore(r);
+        ar(tage_, btb_, ras_);
     }
 
   private:

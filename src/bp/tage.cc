@@ -423,77 +423,4 @@ Tage::historyHash(unsigned bits) const
     return foldHistory(64, bits);
 }
 
-void
-Tage::save(SnapWriter &w) const
-{
-    // config_ and histLengths_ are construction-time constants; the
-    // warmup key guarantees the restoring predictor was built from
-    // the same config, so only mutable state is serialized.
-    for (const auto &table : tables_) {
-        for (const TaggedEntry &e : table) {
-            w.u16(e.tag);
-            w.i8(e.ctr);
-            w.u8(e.useful);
-        }
-    }
-    for (std::uint8_t b : bimodal_)
-        w.u8(b);
-    for (const LoopEntry &e : loops_) {
-        w.b(e.valid);
-        w.u16(e.tag);
-        w.u16(e.tripCount);
-        w.u16(e.currentIter);
-        w.u16(e.specIter);
-        w.u8(e.confidence);
-    }
-    for (std::int8_t c : scTable_)
-        w.i8(c);
-    bp::save(w, history_);
-    w.u32(pathHistory_);
-    w.u64(allocTick_);
-    for (const FoldedHistory &f : folds_) {
-        w.u32(f.full);
-        w.u32(f.partial);
-        w.u32(f.length);
-        w.u32(f.bits);
-        w.u32(f.nFull);
-        w.u32(f.rem);
-    }
-}
-
-void
-Tage::restore(SnapReader &r)
-{
-    for (auto &table : tables_) {
-        for (TaggedEntry &e : table) {
-            e.tag = r.u16();
-            e.ctr = r.i8();
-            e.useful = r.u8();
-        }
-    }
-    for (std::uint8_t &b : bimodal_)
-        b = r.u8();
-    for (LoopEntry &e : loops_) {
-        e.valid = r.b();
-        e.tag = r.u16();
-        e.tripCount = r.u16();
-        e.currentIter = r.u16();
-        e.specIter = r.u16();
-        e.confidence = r.u8();
-    }
-    for (std::int8_t &c : scTable_)
-        c = r.i8();
-    bp::restore(r, history_);
-    pathHistory_ = r.u32();
-    allocTick_ = r.u64();
-    for (FoldedHistory &f : folds_) {
-        f.full = r.u32();
-        f.partial = r.u32();
-        f.length = r.u32();
-        f.bits = r.u32();
-        f.nFull = r.u32();
-        f.rem = r.u32();
-    }
-}
-
 } // namespace cdfsim::bp

@@ -73,47 +73,16 @@ struct TageCheckpoint
     std::array<std::uint16_t, kMaxLoopEntries> loopSpecIters{};
     /** Saved (full, partial) pair per incremental history fold. */
     std::array<std::uint32_t, 2 * kMaxTageFolds> folds{};
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(history, pathHistory, loopSpecIters, folds);
+    }
+
+    SIM_SNAPSHOT_FIELDS(4);
 };
-
-/** Snapshot codec for the wide history register (4 x 64 bits). */
-inline void
-save(SnapWriter &w, const History &h)
-{
-    const History mask{~std::uint64_t{0}};
-    for (unsigned chunk = 0; chunk < 4; ++chunk)
-        w.u64(((h >> (64 * chunk)) & mask).to_ullong());
-}
-
-inline void
-restore(SnapReader &r, History &h)
-{
-    h.reset();
-    for (unsigned chunk = 0; chunk < 4; ++chunk)
-        h |= History{r.u64()} << (64 * chunk);
-}
-
-/** Snapshot codec for TageCheckpoint. */
-inline void
-save(SnapWriter &w, const TageCheckpoint &c)
-{
-    save(w, c.history);
-    w.u32(c.pathHistory);
-    for (std::uint16_t v : c.loopSpecIters)
-        w.u16(v);
-    for (std::uint32_t v : c.folds)
-        w.u32(v);
-}
-
-inline void
-restore(SnapReader &r, TageCheckpoint &c)
-{
-    restore(r, c.history);
-    c.pathHistory = r.u32();
-    for (std::uint16_t &v : c.loopSpecIters)
-        v = r.u16();
-    for (std::uint32_t &v : c.folds)
-        v = r.u32();
-}
 
 /**
  * Per-prediction bookkeeping carried until update time. The table
@@ -134,44 +103,18 @@ struct TagePredictionInfo
     std::uint32_t scIndex = 0;
     std::array<unsigned, kMaxTageTables> indices{};
     std::array<std::uint16_t, kMaxTageTables> tags{};
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(taken, tageTaken, as<std::int64_t>(providerTable),
+           providerWeak, altTaken, loopUsed, as<std::uint64_t>(loopIndex),
+           scUsed, scIndex, indices, tags);
+    }
+
+    SIM_SNAPSHOT_FIELDS(11);
 };
-
-/** Snapshot codec for TagePredictionInfo. */
-inline void
-save(SnapWriter &w, const TagePredictionInfo &p)
-{
-    w.b(p.taken);
-    w.b(p.tageTaken);
-    w.i64(p.providerTable);
-    w.b(p.providerWeak);
-    w.b(p.altTaken);
-    w.b(p.loopUsed);
-    w.u64(p.loopIndex);
-    w.b(p.scUsed);
-    w.u32(p.scIndex);
-    for (unsigned v : p.indices)
-        w.u32(v);
-    for (std::uint16_t v : p.tags)
-        w.u16(v);
-}
-
-inline void
-restore(SnapReader &r, TagePredictionInfo &p)
-{
-    p.taken = r.b();
-    p.tageTaken = r.b();
-    p.providerTable = static_cast<int>(r.i64());
-    p.providerWeak = r.b();
-    p.altTaken = r.b();
-    p.loopUsed = r.b();
-    p.loopIndex = static_cast<unsigned>(r.u64());
-    p.scUsed = r.b();
-    p.scIndex = r.u32();
-    for (unsigned &v : p.indices)
-        v = r.u32();
-    for (std::uint16_t &v : p.tags)
-        v = r.u16();
-}
 
 /** The direction predictor. */
 class Tage
@@ -209,9 +152,27 @@ class Tage
      *  against the maintained value (test hook). */
     bool checkFolds() const;
 
-    /** Snapshot every table and the speculative history state. */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    /** Snapshot every table and the speculative history state.
+     *  config_ and histLengths_ are construction-time constants; the
+     *  warmup key guarantees the restoring predictor was built from
+     *  the same config, so only mutable state is serialized. */
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        for (auto &table : tables_) {
+            for (TaggedEntry &e : table)
+                ar(e.tag, e.ctr, e.useful);
+        }
+        ar(std::span(bimodal_));
+        for (LoopEntry &e : loops_) {
+            ar(e.valid, e.tag, e.tripCount, e.currentIter, e.specIter,
+               e.confidence);
+        }
+        ar(std::span(scTable_), history_, pathHistory_, allocTick_);
+        for (FoldedHistory &f : folds_)
+            ar(f.full, f.partial, f.length, f.bits, f.nFull, f.rem);
+    }
 
   private:
     struct TaggedEntry

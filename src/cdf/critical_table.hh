@@ -80,32 +80,20 @@ class CriticalCountTable
 
     /** Snapshot entries and the threshold/LRU state (geometry and
      *  counter widths are config-fixed and excluded). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
-    {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u32(e.strict.value());
-            w.u32(e.permissive.value());
-            w.u64(e.lruTick);
-        }
-        w.u64(tick_);
-        w.u8(static_cast<std::uint8_t>(mode_));
-    }
-
-    void
-    restore(SnapReader &r)
+    fields(Ar &ar)
     {
         for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.strict.set(r.u32());
-            e.permissive.set(r.u32());
-            e.lruTick = r.u64();
+            std::uint32_t strict = e.strict.value();
+            std::uint32_t permissive = e.permissive.value();
+            ar(e.valid, e.tag, strict, permissive, e.lruTick);
+            if constexpr (Ar::kLoading) {
+                e.strict.set(strict);
+                e.permissive.set(permissive);
+            }
         }
-        tick_ = r.u64();
-        mode_ = static_cast<ThresholdMode>(r.u8());
+        ar(tick_, mode_);
     }
 
   private:

@@ -30,6 +30,15 @@ struct DbqEntry
     SeqNum ts = 0;        //!< program-order timestamp of the branch
     bool taken = false;   //!< predicted (later: corrected) direction
     Addr target = 0;      //!< predicted next PC when taken
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(ts, taken, target);
+    }
+
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** One Critical Map Queue entry. */
@@ -39,43 +48,16 @@ struct CmqEntry
     RegId archDst = kInvalidReg;
     RegId physDst = kInvalidReg;
     RegId oldPhysDst = kInvalidReg;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(ts, archDst, physDst, oldPhysDst);
+    }
+
+    SIM_SNAPSHOT_FIELDS(4);
 };
-
-/** Snapshot codecs for the FIFO payloads (used as CircularQueue
- *  element callbacks by the core snapshot). */
-inline void
-save(SnapWriter &w, const DbqEntry &e)
-{
-    w.u64(e.ts);
-    w.b(e.taken);
-    w.u64(e.target);
-}
-
-inline void
-restore(SnapReader &r, DbqEntry &e)
-{
-    e.ts = r.u64();
-    e.taken = r.b();
-    e.target = r.u64();
-}
-
-inline void
-save(SnapWriter &w, const CmqEntry &e)
-{
-    w.u64(e.ts);
-    w.u16(e.archDst);
-    w.u16(e.physDst);
-    w.u16(e.oldPhysDst);
-}
-
-inline void
-restore(SnapReader &r, CmqEntry &e)
-{
-    e.ts = r.u64();
-    e.archDst = r.u16();
-    e.physDst = r.u16();
-    e.oldPhysDst = r.u16();
-}
 
 /** Delayed Branch Queue (Table 1: 256 entries). */
 using DelayedBranchQueue = CircularQueue<DbqEntry>;

@@ -90,40 +90,16 @@ class FillBuffer
 
     /** Snapshot the collection window and the mask shift register
      *  (the referenced caches snapshot themselves). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u32(static_cast<std::uint32_t>(entries_.size()));
-        for (const Entry &e : entries_) {
-            w.u64(e.pc);
-            isa::save(w, e.uop);
-            w.u64(e.memWordAddr);
-            w.b(e.critical);
-            w.b(e.startsBasicBlock);
-        }
-        w.b(collecting_);
-        w.u64(collectionStart_);
-        w.u64(activeMask_);
-        w.u32(activeMaskOffset_);
-        w.b(activeMaskValid_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        entries_.resize(r.u32());
-        for (Entry &e : entries_) {
-            e.pc = r.u64();
-            isa::restore(r, e.uop);
-            e.memWordAddr = r.u64();
-            e.critical = r.b();
-            e.startsBasicBlock = r.b();
-        }
-        collecting_ = r.b();
-        collectionStart_ = r.u64();
-        activeMask_ = r.u64();
-        activeMaskOffset_ = r.u32();
-        activeMaskValid_ = r.b();
+        const auto entry = [](Ar &a, Entry &e) {
+            a(e.pc, e.uop, e.memWordAddr, e.critical, e.startsBasicBlock);
+        };
+        ar(sized<std::uint32_t>(entries_, entry), collecting_,
+           collectionStart_, activeMask_, activeMaskOffset_,
+           activeMaskValid_);
     }
 
   private:

@@ -66,30 +66,13 @@ class MaskCache
 
     /** Snapshot entries and the LRU/reset clocks (geometry is
      *  config-fixed and excluded). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        for (const Entry &e : entries_) {
-            w.b(e.valid);
-            w.u64(e.tag);
-            w.u64(e.mask);
-            w.u64(e.lruTick);
-        }
-        w.u64(tick_);
-        w.u64(lastReset_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (Entry &e : entries_) {
-            e.valid = r.b();
-            e.tag = r.u64();
-            e.mask = r.u64();
-            e.lruTick = r.u64();
-        }
-        tick_ = r.u64();
-        lastReset_ = r.u64();
+        for (Entry &e : entries_)
+            ar(e.valid, e.tag, e.mask, e.lruTick);
+        ar(tick_, lastReset_);
     }
 
   private:

@@ -93,20 +93,11 @@ class SectionPartition
     void reset();
 
     /** Snapshot the mutable split state (policy knobs are config). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u32(critCap_);
-        w.u64(critStalls_);
-        w.u64(nonCritStalls_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        critCap_ = r.u32();
-        critStalls_ = r.u64();
-        nonCritStalls_ = r.u64();
+        ar(critCap_, critStalls_, nonCritStalls_);
     }
 
   private:

@@ -17,7 +17,6 @@
 #define CDFSIM_CDF_UOP_CACHE_HH
 
 #include <cstdint>
-#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +34,15 @@ struct TraceUop
 {
     isa::Uop uop;
     unsigned offsetInBlock = 0;  //!< program-order position in the BB
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(uop, offsetInBlock);
+    }
+
+    SIM_SNAPSHOT_FIELDS(2);
 };
 
 /** A basic-block trace of critical uops. */
@@ -54,49 +62,17 @@ struct BbTrace
         const auto n = static_cast<unsigned>(uops.size());
         return n == 0 ? 1 : (n + 7) / 8;
     }
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(startPc, blockLength, sized<std::uint32_t>(uops), endsInBranch,
+           branchPc, readyCycle);
+    }
+
+    SIM_SNAPSHOT_FIELDS(6);
 };
-
-/** Snapshot codec for TraceUop. */
-inline void
-save(SnapWriter &w, const TraceUop &t)
-{
-    save(w, t.uop);
-    w.u32(t.offsetInBlock);
-}
-
-inline void
-restore(SnapReader &r, TraceUop &t)
-{
-    restore(r, t.uop);
-    t.offsetInBlock = r.u32();
-}
-
-/** Snapshot codec for BbTrace. */
-inline void
-save(SnapWriter &w, const BbTrace &t)
-{
-    w.u64(t.startPc);
-    w.u32(t.blockLength);
-    w.u32(static_cast<std::uint32_t>(t.uops.size()));
-    for (const TraceUop &u : t.uops)
-        save(w, u);
-    w.b(t.endsInBranch);
-    w.u64(t.branchPc);
-    w.u64(t.readyCycle);
-}
-
-inline void
-restore(SnapReader &r, BbTrace &t)
-{
-    t.startPc = r.u64();
-    t.blockLength = r.u32();
-    t.uops.resize(r.u32());
-    for (TraceUop &u : t.uops)
-        restore(r, u);
-    t.endsInBranch = r.b();
-    t.branchPc = r.u64();
-    t.readyCycle = r.u64();
-}
 
 /** Uop cache configuration (Table 1: 18KB 4-way, 8x8B per entry). */
 struct UopCacheConfig
@@ -135,27 +111,16 @@ class CriticalUopCache
      * truth; the tag map is rebuilt on restore, so the snapshot
      * never iterates the unordered container).
      */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u32(static_cast<std::uint32_t>(lru_.size()));
-        for (const BbTrace &t : lru_)
-            cdf::save(w, t);
-        w.u32(usedLines_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        lru_.clear();
-        traces_.clear();
-        const std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            lru_.emplace_back();
-            cdf::restore(r, lru_.back());
-            traces_[lru_.back().startPc] = std::prev(lru_.end());
+        ar(sized<std::uint32_t>(lru_), usedLines_);
+        if constexpr (Ar::kLoading) {
+            traces_.clear();
+            for (auto it = lru_.begin(); it != lru_.end(); ++it)
+                traces_[it->startPc] = it;
         }
-        usedLines_ = r.u32();
     }
 
   private:

@@ -117,31 +117,21 @@ class CircularQueue
      * layout — and therefore any future snapshot of it — is
      * byte-identical to the original's.
      */
-    template <typename SaveFn>
+    template <typename Ar, typename Elem = VisitField>
     void
-    save(SnapWriter &w, SaveFn &&fn) const
+    fields(Ar &ar, Elem elem = Elem{})
     {
-        w.u64(buf_.size());
-        w.u64(head_);
-        w.u64(count_);
-        for (std::size_t i = 0; i < count_; ++i)
-            fn(w, at(i));
-    }
-
-    template <typename LoadFn>
-    void
-    restore(SnapReader &r, LoadFn &&fn)
-    {
-        const std::uint64_t capacity = r.u64();
+        std::uint64_t capacity = buf_.size();
+        ar(capacity);
         SIM_ASSERT(capacity == buf_.size(),
                    "snapshot CircularQueue capacity ", capacity,
                    " != configured ", buf_.size());
-        head_ = static_cast<std::size_t>(r.u64());
-        count_ = static_cast<std::size_t>(r.u64());
-        SIM_ASSERT(head_ < buf_.size() && count_ <= buf_.size(),
+        ar(head_, count_);
+        SIM_ASSERT(!Ar::kLoading ||
+                       (head_ < buf_.size() && count_ <= buf_.size()),
                    "snapshot CircularQueue cursor out of range");
         for (std::size_t i = 0; i < count_; ++i)
-            buf_[index(i)] = fn(r);
+            elem(ar, buf_[index(i)]);
     }
 
   private:

@@ -112,26 +112,17 @@ class MonotonicCycleRing
      * reshuffle the ring (head_ resets on grow), which a re-snapshot
      * of the restored ring must reproduce.
      */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u64(buf_.size());
-        w.u64(head_);
-        w.u64(count_);
-        for (Cycle c : buf_)
-            w.u64(c);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        buf_.resize(static_cast<std::size_t>(r.u64()));
-        head_ = static_cast<std::size_t>(r.u64());
-        count_ = static_cast<std::size_t>(r.u64());
-        SIM_ASSERT(count_ <= buf_.size(),
+        std::uint64_t capacity = buf_.size();
+        ar(capacity, head_, count_);
+        SIM_ASSERT(!Ar::kLoading || count_ <= capacity,
                    "snapshot cycle ring count exceeds capacity");
-        for (Cycle &c : buf_)
-            c = r.u64();
+        if constexpr (Ar::kLoading)
+            buf_.resize(static_cast<std::size_t>(capacity));
+        ar(std::span(buf_));
     }
 
     /**
@@ -259,25 +250,16 @@ class CycleCountRing
 
     /** Serialize buckets verbatim (horizon included — it grows on
      *  demand, so it is part of the reproducible state). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u64(counts_.size());
-        w.u64(base_);
-        w.u64(outstanding_);
-        for (std::uint32_t c : counts_)
-            w.u32(c);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        counts_.resize(static_cast<std::size_t>(r.u64()));
-        base_ = r.u64();
-        outstanding_ = static_cast<std::size_t>(r.u64());
-        for (std::uint32_t &c : counts_)
-            c = r.u32();
-        SIM_AUDIT_ONLY(auditInvariants();)
+        std::uint64_t horizon = counts_.size();
+        ar(horizon, base_, outstanding_);
+        if constexpr (Ar::kLoading)
+            counts_.resize(static_cast<std::size_t>(horizon));
+        ar(std::span(counts_));
+        SIM_AUDIT_ONLY(if constexpr (Ar::kLoading) auditInvariants();)
     }
 
     /**

@@ -150,36 +150,28 @@ class FlatMap
      * Serialize the table slot-verbatim (capacity plus every slot,
      * occupied or empty) so the restored map reproduces the exact
      * probe layout — including displacement left by past erases —
-     * rather than a rehashed equivalent. @p fn serializes one value.
+     * rather than a rehashed equivalent. @p elem visits one value.
      */
-    template <typename SaveFn>
+    template <typename Ar, typename Elem = VisitField>
     void
-    save(SnapWriter &w, SaveFn &&fn) const
+    fields(Ar &ar, Elem elem = Elem{})
     {
-        w.u64(slots_.size());
-        w.u64(size_);
-        for (const Slot &s : slots_) {
-            w.u64(static_cast<std::uint64_t>(s.key));
-            fn(w, s.val);
-        }
-    }
-
-    template <typename LoadFn>
-    void
-    restore(SnapReader &r, LoadFn &&fn)
-    {
-        const std::uint64_t capacity = r.u64();
-        SIM_ASSERT(capacity >= 16 &&
-                       (capacity & (capacity - 1)) == 0,
+        std::uint64_t capacity = slots_.size();
+        ar(capacity);
+        SIM_ASSERT(!Ar::kLoading ||
+                       (capacity >= 16 &&
+                        (capacity & (capacity - 1)) == 0),
                    "snapshot FlatMap capacity not a power of two");
-        size_ = static_cast<std::size_t>(r.u64());
-        slots_.resize(static_cast<std::size_t>(capacity));
-        mask_ = static_cast<std::size_t>(capacity) - 1;
-        for (Slot &s : slots_) {
-            s.key = static_cast<K>(r.u64());
-            s.val = fn(r);
+        ar(size_);
+        if constexpr (Ar::kLoading) {
+            slots_.resize(static_cast<std::size_t>(capacity));
+            mask_ = static_cast<std::size_t>(capacity) - 1;
         }
-        SIM_AUDIT_ONLY(auditInvariants();)
+        for (Slot &s : slots_) {
+            ar(as<std::uint64_t>(s.key));
+            elem(ar, s.val);
+        }
+        SIM_AUDIT_ONLY(if constexpr (Ar::kLoading) auditInvariants();)
     }
 
   private:

@@ -8,6 +8,7 @@
 #define CDFSIM_COMMON_HASH_HH
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace cdfsim
@@ -24,6 +25,17 @@ fnv1a64(std::string_view bytes,
         h *= 0x100000001B3ull;
     }
     return h;
+}
+
+/** FNV-1a 64-bit over raw bytes (snapshot payloads). */
+inline std::uint64_t
+fnv1a64(std::span<const std::uint8_t> bytes,
+        std::uint64_t seed = 0xCBF29CE484222325ull)
+{
+    return fnv1a64(
+        std::string_view(reinterpret_cast<const char *>(bytes.data()),
+                         bytes.size()),
+        seed);
 }
 
 /**

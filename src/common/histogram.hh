@@ -123,18 +123,11 @@ class RunningMean
         n_ = 0;
     }
 
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.f64(sum_);
-        w.u64(n_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        sum_ = r.f64();
-        n_ = r.u64();
+        ar(sum_, n_);
     }
 
   private:

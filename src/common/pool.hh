@@ -138,74 +138,65 @@ class SlabPool
      * Serialize the pool so a restored pool reproduces the exact
      * same future handle assignment: slab count, alive bitmap and
      * the freelist are written verbatim (the LIFO order *is* the
-     * allocation order), then @p fn serializes each live element in
-     * ascending handle order.
+     * allocation order), then @p elem visits each live element in
+     * ascending handle order. Restore re-constructs those elements
+     * in place before @p elem fills them.
      */
-    template <typename SaveFn>
+    template <typename Ar, typename Elem = VisitField>
     void
-    save(SnapWriter &w, SaveFn &&fn) const
+    fields(Ar &ar, Elem elem = Elem{})
     {
-        w.u32(slabSize_);
-        w.u64(alive_.size());
-        for (std::uint8_t a : alive_)
-            w.u8(a);
-        w.u64(freeList_.size());
-        for (std::uint32_t idx : freeList_)
-            w.u32(idx);
-        for (std::uint32_t i = 0; i < alive_.size(); ++i) {
-            if (alive_[i])
-                fn(w, at(i));
-        }
-    }
-
-    /** Inverse of save(); @p fn fills each re-constructed element. */
-    template <typename LoadFn>
-    void
-    restore(SnapReader &r, LoadFn &&fn)
-    {
-        for (std::uint32_t i = 0; i < alive_.size(); ++i) {
-            if (alive_[i])
-                at(i).~T();
-        }
-        const std::uint32_t slabSize = r.u32();
+        std::uint32_t slabSize = slabSize_;
+        ar(slabSize);
         SIM_ASSERT(slabSize == slabSize_,
                    "snapshot slab size ", slabSize,
                    " != configured ", slabSize_);
-        const std::uint64_t capacity = r.u64();
+        std::uint64_t capacity = alive_.size();
+        ar(capacity);
         SIM_ASSERT(capacity % slabSize_ == 0,
                    "snapshot pool capacity not slab-aligned");
-        while (slabs_.size() * slabSize_ < capacity)
-            slabs_.push_back(std::make_unique<Slot[]>(slabSize_));
-        const std::uint64_t ourCapacity =
-            slabs_.size() * std::uint64_t{slabSize_};
-        alive_.assign(ourCapacity, 0);
-        for (std::uint64_t i = 0; i < capacity; ++i)
-            alive_[i] = r.u8();
+        if constexpr (Ar::kLoading) {
+            for (std::uint32_t i = 0; i < alive_.size(); ++i) {
+                if (alive_[i])
+                    at(i).~T();
+            }
+            while (slabs_.size() * slabSize_ < capacity)
+                slabs_.push_back(std::make_unique<Slot[]>(slabSize_));
+            alive_.assign(slabs_.size() * std::uint64_t{slabSize_}, 0);
+        }
+        ar(std::span(alive_.data(), capacity));
+
         // Slots beyond the snapshot's capacity exist only when this
         // pool grew after the snapshot was taken. The snapshot pool
         // would re-grow them on demand in ascending slab order, so
-        // seed the freelist bottom with exactly the order grow()
-        // would produce, then lay the saved freelist verbatim on top
-        // (LIFO: the saved entries are consumed first).
-        freeList_.clear();
-        for (std::uint64_t base = ourCapacity; base > capacity;) {
-            base -= slabSize_;
-            for (std::uint32_t i = slabSize_; i-- > 0;)
-                freeList_.push_back(
-                    static_cast<std::uint32_t>(base + i));
+        // restore seeds the freelist bottom with exactly the order
+        // grow() would produce, then lays the saved freelist
+        // verbatim on top (LIFO: the saved entries are consumed
+        // first).
+        std::vector<std::uint32_t> savedFree;
+        ar(sized<std::uint64_t>(Ar::kLoading ? savedFree : freeList_));
+        if constexpr (Ar::kLoading) {
+            freeList_.clear();
+            for (std::uint64_t base = alive_.size(); base > capacity;) {
+                base -= slabSize_;
+                for (std::uint32_t i = slabSize_; i-- > 0;)
+                    freeList_.push_back(
+                        static_cast<std::uint32_t>(base + i));
+            }
+            freeList_.insert(freeList_.end(), savedFree.begin(),
+                             savedFree.end());
+            live_ = 0;
         }
-        const std::uint64_t savedFree = r.u64();
-        for (std::uint64_t i = 0; i < savedFree; ++i)
-            freeList_.push_back(r.u32());
-        live_ = 0;
         for (std::uint32_t i = 0; i < capacity; ++i) {
             if (!alive_[i])
                 continue;
-            ::new (slotPtr(i)) T();
-            fn(r, at(i));
-            ++live_;
+            if constexpr (Ar::kLoading) {
+                ::new (slotPtr(i)) T();
+                ++live_;
+            }
+            elem(ar, at(i));
         }
-        SIM_AUDIT_ONLY(auditInvariants();)
+        SIM_AUDIT_ONLY(if constexpr (Ar::kLoading) auditInvariants();)
     }
 
   private:

@@ -4,39 +4,76 @@
  *
  * SnapWriter/SnapReader implement a little-endian, bounds-checked
  * byte-stream format used by the warmup checkpointing subsystem
- * (sim/snapshot.hh). Every snapshottable class exposes explicit
- * `save(SnapWriter &)` / `restore(SnapReader &)` members that write
- * and read each field in declaration order — raw struct memcpy is
- * never used, so the byte stream is independent of padding, host
- * endianness quirks, and container implementation details.
+ * (sim/snapshot.hh). They share one archive interface: `ar(x, y, ...)`
+ * writes each argument when saving and assigns it when restoring.
+ * Every snapshotted class lists its state exactly once, in a member
  *
- * The format carries no per-field tags: reader and writer must agree
- * exactly, which is enforced at a higher level by the checkpoint
- * schema version (sim/snapshot.cc) and at the source level by the
- * SIM_SNAPSHOT_FIELDS lint contract below.
+ *     template <class Ar> void fields(Ar &ar);
+ *
+ * that both archives drive, so the save and restore sides cannot
+ * drift apart. Raw struct memcpy is never used: the byte stream is
+ * independent of padding, host endianness quirks and container
+ * implementation details.
+ *
+ * Wire encoding of `ar(x)`:
+ *  - bool: one byte (0/1);
+ *  - integers: sizeof(T) bytes; enums: their underlying type;
+ *  - double: its 64-bit pattern;
+ *  - std::string: u64 length, then the bytes;
+ *  - std::bitset<N>: ceil(N/64) u64 words, lowest bits first;
+ *  - std::pair: first, then second;
+ *  - std::array and std::span: the elements, no length (the extent is
+ *    fixed by the type or by the config the object was built from);
+ *  - classes with a fields() member: whatever fields() visits.
+ * Two wrappers state a width the C++ type does not fix:
+ *  - `as<W>(x)` puts x on the wire as a W;
+ *  - `sized<W>(seq)` writes seq.size() as a W, then the elements;
+ *    restore resizes seq first. An optional second argument visits
+ *    one element (e.g. to encode pointers as pool handles).
+ * std::vector and other resizable containers have no default
+ * encoding: wrap them in std::span (fixed size) or sized<W>.
+ *
+ * State with no symmetric encoding (pointer handles, presence
+ * checks, rebuilt indexes) is written inside fields() as explicit
+ * steps, branching on `Ar::kLoading`. Restore-side checks are
+ * written `SIM_ASSERT(!Ar::kLoading || cond, ...)` so they compile
+ * away when saving.
+ *
+ * The format carries no per-field tags: a layout change is caught by
+ * the checkpoint schema version (sim/snapshot.cc), which the layout
+ * pin in tests/test_snapshot.cc forces to be bumped, and at the
+ * source level by the SIM_SNAPSHOT_FIELDS lint contract below.
  */
 
 #ifndef CDFSIM_COMMON_SERIALIZE_HH
 #define CDFSIM_COMMON_SERIALIZE_HH
 
+#include <array>
 #include <bit>
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 /**
  * Snapshot field-count contract, checked by `tools/lint_sim`
- * (rule `snapshot-fields`): every class with a `save(...)` member
- * must carry `SIM_SNAPSHOT_FIELDS(n)` where @p n is the number of
- * data members the class declares — including members that are
- * deliberately *not* serialized (host-only profiling state, cached
- * stat references). Adding a field without bumping the count fails
- * the lint, which forces the author to decide whether the new field
- * belongs in save()/restore().
+ * (rule `snapshot-fields`): every class with a `fields(...)` member
+ * (or a remaining hand-written `save*()` codec) must carry
+ * `SIM_SNAPSHOT_FIELDS(n)` where @p n is the number of data members
+ * the class declares — including members that are deliberately
+ * *not* serialized (host-only profiling state, cached stat
+ * references). Adding a member without bumping the count fails the
+ * lint, which forces the author to decide whether the new member
+ * belongs in fields().
  */
 #define SIM_SNAPSHOT_FIELDS(n) \
     static_assert((n) > 0, "snapshot field count must be positive")
@@ -44,39 +81,69 @@
 namespace cdfsim
 {
 
-/** Append-only little-endian byte-stream writer. */
+/** Puts @p ref on the wire as a @p W; see as(). */
+template <typename W, typename T>
+struct AsWidth
+{
+    T &ref;
+};
+
+/** `ar(as<std::uint8_t>(mode_))`: serialize @p ref at width @p W. */
+template <typename W, typename T>
+AsWidth<W, T>
+as(T &ref)
+{
+    return {ref};
+}
+
+/** Default element visitor of sized(): `ar(x)`. */
+struct VisitField
+{
+    template <typename Ar, typename T>
+    void
+    operator()(Ar &ar, T &x) const
+    {
+        ar(x);
+    }
+};
+
+/** A length-prefixed sequence; see sized(). */
+template <typename W, typename C, typename F>
+struct Sized
+{
+    C &seq;
+    F elem;
+};
+
+/**
+ * `ar(sized<std::uint32_t>(vec))`: a @p W element count, then each
+ * element through @p elem(ar, element). Restore resizes @p seq.
+ */
+template <typename W, typename C, typename F = VisitField>
+Sized<W, C, F>
+sized(C &seq, F elem = F{})
+{
+    return {seq, std::move(elem)};
+}
+
+/** Append-only little-endian byte-stream writer (saving archive). */
 class SnapWriter
 {
   public:
+    static constexpr bool kLoading = false;
+
+    /** Serialize each argument in order. */
+    template <typename... T>
     void
-    u8(std::uint8_t v)
+    operator()(const T &...xs)
     {
-        buf_.push_back(v);
+        (put(xs), ...);
     }
 
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
+    void u8(std::uint8_t v) { le(v); }
+    void u16(std::uint16_t v) { le(v); }
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
     void b(bool v) { u8(v ? 1 : 0); }
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -91,28 +158,108 @@ class SnapWriter
     std::size_t size() const { return buf_.size(); }
 
     /** FNV-1a over everything written so far. */
-    std::uint64_t
-    fnv1a() const
-    {
-        std::uint64_t h = 0xCBF29CE484222325ull;
-        for (std::uint8_t byte : buf_) {
-            h ^= byte;
-            h *= 0x100000001B3ull;
-        }
-        return h;
-    }
+    std::uint64_t fnv1a() const { return fnv1a64(buf_); }
 
     /** Move the accumulated bytes out (leaves the writer empty). */
     std::vector<std::uint8_t> take() { return std::move(buf_); }
 
   private:
+    /** Append the little-endian bytes of @p v in one step. */
+    template <typename U>
+    void
+    le(U v)
+    {
+        std::uint8_t bytes[sizeof(U)];
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        buf_.insert(buf_.end(), bytes, bytes + sizeof(U));
+    }
+
+    template <typename T>
+    void
+    put(const T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            b(x);
+        } else if constexpr (std::is_enum_v<T>) {
+            put(static_cast<std::underlying_type_t<T>>(x));
+        } else if constexpr (std::is_integral_v<T>) {
+            le(static_cast<std::make_unsigned_t<T>>(x));
+        } else if constexpr (std::is_same_v<T, double>) {
+            f64(x);
+        } else {
+            // Saving never mutates: fields() is shared with restore,
+            // hence non-const.
+            const_cast<T &>(x).fields(*this);
+        }
+    }
+
+    void put(const std::string &s) { str(s); }
+
+    template <std::size_t N>
+    void
+    put(const std::bitset<N> &x)
+    {
+        const std::bitset<N> word{~std::uint64_t{0}};
+        for (std::size_t lo = 0; lo < N; lo += 64)
+            u64(((x >> lo) & word).to_ullong());
+    }
+
+    template <typename A, typename B>
+    void
+    put(const std::pair<A, B> &x)
+    {
+        put(x.first);
+        put(x.second);
+    }
+
+    template <typename T, std::size_t N>
+    void
+    put(const std::array<T, N> &x)
+    {
+        for (const T &e : x)
+            put(e);
+    }
+
+    template <typename T, std::size_t E>
+    void
+    put(const std::span<T, E> &x)
+    {
+        for (const T &e : x)
+            put(e);
+    }
+
+    template <typename W, typename T>
+    void
+    put(const AsWidth<W, T> &x)
+    {
+        put(static_cast<W>(x.ref));
+    }
+
+    template <typename W, typename C, typename F>
+    void
+    put(const Sized<W, C, F> &x)
+    {
+        SIM_ASSERT(x.seq.size() <= std::numeric_limits<W>::max(),
+                   "sequence of ", x.seq.size(),
+                   " elements overflows its snapshot length prefix");
+        put(static_cast<W>(x.seq.size()));
+        for (auto &e : x.seq)
+            x.elem(*this, e);
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
-/** Bounds-checked reader over a byte buffer produced by SnapWriter. */
+/**
+ * Bounds-checked reader over a byte buffer produced by SnapWriter
+ * (restoring archive).
+ */
 class SnapReader
 {
   public:
+    static constexpr bool kLoading = true;
+
     SnapReader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {
@@ -123,38 +270,19 @@ class SnapReader
     {
     }
 
-    std::uint8_t
-    u8()
+    /** Assign each argument from the stream, in order. */
+    template <typename... T>
+    void
+    operator()(T &&...xs)
     {
-        SIM_ASSERT(pos_ < size_, "snapshot stream underrun at byte ",
-                   pos_, " of ", size_);
-        return data_[pos_++];
+        (get(xs), ...);
     }
 
-    std::uint16_t
-    u16()
-    {
-        const std::uint16_t lo = u8();
-        return static_cast<std::uint16_t>(lo |
-                                          (std::uint16_t{u8()} << 8));
-    }
+    std::uint8_t u8() { return le<std::uint8_t>(); }
+    std::uint16_t u16() { return le<std::uint16_t>(); }
+    std::uint32_t u32() { return le<std::uint32_t>(); }
+    std::uint64_t u64() { return le<std::uint64_t>(); }
 
-    std::uint32_t
-    u32()
-    {
-        const std::uint32_t lo = u16();
-        return lo | (std::uint32_t{u16()} << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::uint64_t lo = u32();
-        return lo | (std::uint64_t{u32()} << 32);
-    }
-
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
     bool b() { return u8() != 0; }
     double f64() { return std::bit_cast<double>(u64()); }
 
@@ -172,8 +300,102 @@ class SnapReader
 
     bool done() const { return pos_ == size_; }
     std::size_t pos() const { return pos_; }
+    std::size_t size() const { return size_; }
 
   private:
+    /** Read a little-endian @p U with one bounds check. */
+    template <typename U>
+    U
+    le()
+    {
+        SIM_ASSERT(sizeof(U) <= size_ - pos_,
+                   "snapshot stream underrun at byte ", pos_, " of ",
+                   size_);
+        U v = 0;
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            v |= static_cast<U>(U{data_[pos_ + i]} << (8 * i));
+        pos_ += sizeof(U);
+        return v;
+    }
+
+    template <typename T>
+    void
+    get(T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            x = b();
+        } else if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> v{};
+            get(v);
+            x = static_cast<T>(v);
+        } else if constexpr (std::is_integral_v<T>) {
+            x = static_cast<T>(le<std::make_unsigned_t<T>>());
+        } else if constexpr (std::is_same_v<T, double>) {
+            x = f64();
+        } else {
+            x.fields(*this);
+        }
+    }
+
+    void get(std::string &s) { s = str(); }
+
+    template <std::size_t N>
+    void
+    get(std::bitset<N> &x)
+    {
+        x.reset();
+        for (std::size_t lo = 0; lo < N; lo += 64)
+            x |= std::bitset<N>{u64()} << lo;
+    }
+
+    template <typename A, typename B>
+    void
+    get(std::pair<A, B> &x)
+    {
+        get(x.first);
+        get(x.second);
+    }
+
+    template <typename T, std::size_t N>
+    void
+    get(std::array<T, N> &x)
+    {
+        for (T &e : x)
+            get(e);
+    }
+
+    template <typename T, std::size_t E>
+    void
+    get(std::span<T, E> &x)
+    {
+        for (T &e : x)
+            get(e);
+    }
+
+    template <typename W, typename T>
+    void
+    get(AsWidth<W, T> &x)
+    {
+        W v{};
+        get(v);
+        x.ref = static_cast<T>(v);
+    }
+
+    template <typename W, typename C, typename F>
+    void
+    get(Sized<W, C, F> &x)
+    {
+        W n{};
+        get(n);
+        // Every element takes at least one byte on the wire.
+        SIM_ASSERT(n <= size_ - pos_, "snapshot sequence length ", n,
+                   " overruns stream");
+        x.seq.clear();
+        x.seq.resize(static_cast<std::size_t>(n));
+        for (auto &e : x.seq)
+            x.elem(*this, e);
+    }
+
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;

@@ -39,38 +39,17 @@ struct ExecRecord
     bool taken = false;       //!< branch outcome (uncond branches: true)
     Addr nextPc = 0;          //!< correct-path successor PC
     bool halt = false;        //!< this uop ends the program
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(seq, pc, uop, srcVal1, srcVal2, result, memAddr, taken, nextPc,
+           halt);
+    }
+
+    SIM_SNAPSHOT_FIELDS(10);
 };
-
-/** Snapshot codec for ExecRecord. */
-inline void
-save(SnapWriter &w, const ExecRecord &e)
-{
-    w.u64(e.seq);
-    w.u64(e.pc);
-    save(w, e.uop);
-    w.u64(e.srcVal1);
-    w.u64(e.srcVal2);
-    w.u64(e.result);
-    w.u64(e.memAddr);
-    w.b(e.taken);
-    w.u64(e.nextPc);
-    w.b(e.halt);
-}
-
-inline void
-restore(SnapReader &r, ExecRecord &e)
-{
-    e.seq = r.u64();
-    e.pc = r.u64();
-    restore(r, e.uop);
-    e.srcVal1 = r.u64();
-    e.srcVal2 = r.u64();
-    e.result = r.u64();
-    e.memAddr = r.u64();
-    e.taken = r.b();
-    e.nextPc = r.u64();
-    e.halt = r.b();
-}
 
 /**
  * Executes a Program against a register file and a MemoryImage.
@@ -186,24 +165,11 @@ class Interpreter
     }
 
     /** Snapshot cursor state (memory is serialized separately). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        for (std::uint64_t v : regs_)
-            w.u64(v);
-        w.u64(pc_);
-        w.u64(executed_);
-        w.b(halted_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (std::uint64_t &v : regs_)
-            v = r.u64();
-        pc_ = r.u64();
-        executed_ = r.u64();
-        halted_ = r.b();
+        ar(regs_, pc_, executed_, halted_);
     }
 
   private:

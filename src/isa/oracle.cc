@@ -66,30 +66,6 @@ OracleStream::releaseBelow(SeqNum seq)
     }
 }
 
-void
-OracleStream::save(SnapWriter &w) const
-{
-    interp_.save(w);
-    w.u64(window_.size());
-    for (const ExecRecord &e : window_)
-        isa::save(w, e);
-    w.u64(base_);
-    w.b(sawHalt_);
-    w.u64(haltSeq_);
-}
-
-void
-OracleStream::restore(SnapReader &r)
-{
-    interp_.restore(r);
-    window_.resize(r.u64());
-    for (ExecRecord &e : window_)
-        isa::restore(r, e);
-    base_ = r.u64();
-    sawHalt_ = r.b();
-    haltSeq_ = r.u64();
-}
-
 WrongPathWalker::WrongPathWalker(const Program &program,
                                  const MemoryImage &memory)
     : program_(program), memory_(memory)
@@ -132,36 +108,29 @@ WrongPathWalker::execute(Addr pc)
     return r;
 }
 
+template <typename Ar>
 void
-WrongPathWalker::save(SnapWriter &w) const
+WrongPathWalker::fields(Ar &ar)
 {
-    for (std::uint64_t v : regs_)
-        w.u64(v);
-    // The store buffer hashes by address; sort so the byte stream is
-    // deterministic across processes and library versions.
-    std::vector<std::pair<Addr, std::uint64_t>> entries(
-        storeBuf_.begin(), storeBuf_.end());
-    std::sort(entries.begin(), entries.end());
-    w.u64(entries.size());
-    for (const auto &[addr, val] : entries) {
-        w.u64(addr);
-        w.u64(val);
+    ar(regs_);
+    // The store buffer hashes by address; save it key-sorted so the
+    // byte stream is deterministic across processes and library
+    // versions.
+    std::vector<std::pair<Addr, std::uint64_t>> entries;
+    if constexpr (!Ar::kLoading) {
+        entries.assign(storeBuf_.begin(), storeBuf_.end());
+        std::sort(entries.begin(), entries.end());
     }
-    w.b(active_);
+    ar(sized<std::uint64_t>(entries));
+    if constexpr (Ar::kLoading) {
+        storeBuf_.clear();
+        for (const auto &[addr, val] : entries)
+            storeBuf_[addr] = val;
+    }
+    ar(active_);
 }
 
-void
-WrongPathWalker::restore(SnapReader &r)
-{
-    for (std::uint64_t &v : regs_)
-        v = r.u64();
-    storeBuf_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.u64();
-        storeBuf_[addr] = r.u64();
-    }
-    active_ = r.b();
-}
+template void WrongPathWalker::fields(SnapWriter &);
+template void WrongPathWalker::fields(SnapReader &);
 
 } // namespace cdfsim::isa

@@ -72,8 +72,13 @@ class OracleStream
     MemoryImage &memory() { return interp_.memory(); }
 
     /** Snapshot cursors + retained window (not program memory). */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(interp_, sized<std::uint64_t>(window_), base_, sawHalt_,
+           haltSeq_);
+    }
 
   private:
     void materializeTo(SeqNum seq);
@@ -115,9 +120,10 @@ class WrongPathWalker
     bool active() const { return active_; }
     void deactivate() { active_ = false; }
 
-    /** Snapshot shadow state (store buffer is key-sorted on save). */
-    void save(SnapWriter &w) const;
-    void restore(SnapReader &r);
+    /** Snapshot shadow state (store buffer is key-sorted on save).
+     *  Defined in oracle.cc, which may iterate the hash map. */
+    template <typename Ar>
+    void fields(Ar &ar);
 
   private:
     SIM_SNAPSHOT_FIELDS(5);

@@ -103,28 +103,16 @@ struct Uop
             ++n;
         return n;
     }
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(op, dst, src1, src2, imm);
+    }
+
+    SIM_SNAPSHOT_FIELDS(5);
 };
-
-/** Snapshot codec for Uop (field-by-field; see common/serialize.hh). */
-inline void
-save(SnapWriter &w, const Uop &u)
-{
-    w.u8(static_cast<std::uint8_t>(u.op));
-    w.u16(u.dst);
-    w.u16(u.src1);
-    w.u16(u.src2);
-    w.i64(u.imm);
-}
-
-inline void
-restore(SnapReader &r, Uop &u)
-{
-    u.op = static_cast<Opcode>(r.u8());
-    u.dst = r.u16();
-    u.src1 = r.u16();
-    u.src2 = r.u16();
-    u.imm = r.i64();
-}
 
 /** Execution-pipe latency of a uop once its operands are ready. */
 unsigned executeLatency(Opcode op);

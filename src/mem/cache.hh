@@ -188,36 +188,15 @@ class Cache
 
     /** Snapshot tags, LRU clock, tag generation and the MSHR ring
      *  (geometry is config-fixed and excluded). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
-    {
-        for (const Way &way : tags_) {
-            w.b(way.valid);
-            w.b(way.dirty);
-            w.b(way.prefetched);
-            w.u64(way.lineAddr);
-            w.u64(way.lru);
-            w.u64(way.ready);
-        }
-        w.u64(lruClock_);
-        w.u64(tagGen_);
-        mshrs_.save(w);
-    }
-
-    void
-    restore(SnapReader &r)
+    fields(Ar &ar)
     {
         for (Way &way : tags_) {
-            way.valid = r.b();
-            way.dirty = r.b();
-            way.prefetched = r.b();
-            way.lineAddr = r.u64();
-            way.lru = r.u64();
-            way.ready = r.u64();
+            ar(way.valid, way.dirty, way.prefetched, way.lineAddr,
+               way.lru, way.ready);
         }
-        lruClock_ = r.u64();
-        tagGen_ = r.u64();
-        mshrs_.restore(r);
+        ar(lruClock_, tagGen_, mshrs_);
     }
 
   private:

@@ -69,29 +69,14 @@ class DramModel
     const DramConfig &config() const { return config_; }
 
     /** Snapshot per-bank/bus timing state (geometry is config). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
-    {
-        for (const Channel &ch : channels_) {
-            for (const Bank &bank : ch.banks) {
-                w.b(bank.open);
-                w.u64(bank.openRow);
-                w.u64(bank.busyUntil);
-            }
-            w.u64(ch.busUntil);
-        }
-    }
-
-    void
-    restore(SnapReader &r)
+    fields(Ar &ar)
     {
         for (Channel &ch : channels_) {
-            for (Bank &bank : ch.banks) {
-                bank.open = r.b();
-                bank.openRow = r.u64();
-                bank.busyUntil = r.u64();
-            }
-            ch.busUntil = r.u64();
+            for (Bank &bank : ch.banks)
+                ar(bank.open, bank.openRow, bank.busyUntil);
+            ar(ch.busUntil);
         }
     }
 

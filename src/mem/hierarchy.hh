@@ -154,42 +154,15 @@ class MemHierarchy
      * probe memo and the prefetch-feedback cursors. Host-side
      * profiling state is excluded (it never affects timing).
      */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        l1i_.save(w);
-        l1d_.save(w);
-        llc_.save(w);
-        dram_.save(w);
-        prefetcher_.save(w);
-        demandMisses_.save(w);
-        uselessMisses_.save(w);
-        for (const ProbeCacheEntry &e : probeCache_) {
-            w.u64(e.line);
-            w.u64(e.gen);
-            w.b(e.miss);
-        }
-        w.u64(lastPrefUseful_);
-        w.u64(lastPrefIssued_);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        l1i_.restore(r);
-        l1d_.restore(r);
-        llc_.restore(r);
-        dram_.restore(r);
-        prefetcher_.restore(r);
-        demandMisses_.restore(r);
-        uselessMisses_.restore(r);
-        for (ProbeCacheEntry &e : probeCache_) {
-            e.line = r.u64();
-            e.gen = r.u64();
-            e.miss = r.b();
-        }
-        lastPrefUseful_ = r.u64();
-        lastPrefIssued_ = r.u64();
+        ar(l1i_, l1d_, llc_, dram_, prefetcher_, demandMisses_,
+           uselessMisses_);
+        for (ProbeCacheEntry &e : probeCache_)
+            ar(e.line, e.gen, e.miss);
+        ar(lastPrefUseful_, lastPrefIssued_);
     }
 
   private:

@@ -67,36 +67,15 @@ class StreamPrefetcher
     unsigned degree() const { return degree_; }
 
     /** Snapshot stream table and throttle state. */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
-    {
-        for (const Stream &s : streams_) {
-            w.b(s.valid);
-            w.b(s.confirmed);
-            w.i64(s.lastLine);
-            w.i64(s.direction);
-            w.u64(s.lruTick);
-        }
-        w.u32(degree_);
-        w.u64(tick_);
-        w.u64(pendingUseful_);
-        w.u64(pendingIssued_);
-    }
-
-    void
-    restore(SnapReader &r)
+    fields(Ar &ar)
     {
         for (Stream &s : streams_) {
-            s.valid = r.b();
-            s.confirmed = r.b();
-            s.lastLine = r.i64();
-            s.direction = static_cast<int>(r.i64());
-            s.lruTick = r.u64();
+            ar(s.valid, s.confirmed, s.lastLine,
+               as<std::int64_t>(s.direction), s.lruTick);
         }
-        degree_ = r.u32();
-        tick_ = r.u64();
-        pendingUseful_ = r.u64();
-        pendingIssued_ = r.u64();
+        ar(degree_, tick_, pendingUseful_, pendingIssued_);
     }
 
   private:

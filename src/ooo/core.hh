@@ -137,6 +137,15 @@ struct BbInfo
         return std::find(highOffsets.begin(), highOffsets.end(),
                          offset) != highOffsets.end();
     }
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(baseTs, length, mask, sized<std::uint32_t>(highOffsets));
+    }
+
+    SIM_SNAPSHOT_FIELDS(4);
 };
 
 /** The core. */
@@ -246,22 +255,20 @@ class Core
     void auditBpCheckpoints() const;
 
     /**
-     * Serialize the complete architectural + microarchitectural core
-     * state (core_snapshot.cc). Host-only measurement state (stage
-     * profile, idle-skip bookkeeping) is excluded, so the payload is
-     * independent of profileStages/skipIdleCycles. The stat registry
-     * is NOT included — the owning Simulator snapshots it so the
-     * registry is captured exactly once.
+     * Snapshot visitor over the complete architectural +
+     * microarchitectural core state (core_snapshot.cc; instantiated
+     * for SnapWriter and SnapReader). Host-only measurement state
+     * (stage profile, idle-skip bookkeeping) is excluded, so the
+     * payload is independent of profileStages/skipIdleCycles; the
+     * stat registry is NOT included — the owning Simulator snapshots
+     * it so the registry is captured exactly once. Restoring needs a
+     * core built with the SAME config (asserted structurally where
+     * cheap; guaranteed by the warmup cache key). After restore,
+     * running the core is bit-identical to running the original,
+     * and a re-snapshot is byte-identical.
      */
-    void saveState(SnapWriter &w) const;
-
-    /**
-     * Inverse of saveState() into a core built with the SAME config
-     * (asserted structurally where cheap; guaranteed by the warmup
-     * cache key). After restore, running the core is bit-identical
-     * to running the original, and a re-snapshot is byte-identical.
-     */
-    void restoreState(SnapReader &r);
+    template <typename Ar>
+    void fields(Ar &ar);
 
   private:
     friend struct cdfsim::AuditPeer; //!< test-only corruption access
@@ -507,6 +514,15 @@ class Core
         isa::ExecRecord rec;
         SeqNum ts;
         bool critical;
+
+        template <typename Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(rec, ts, critical);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
     std::vector<WpRecord> wpRecords_;
     std::size_t wpConsumeIdx_ = 0;
@@ -519,6 +535,15 @@ class Core
         SeqNum ts;
         std::uint32_t ckpt; //!< bpCkptPool_ handle
         bool btbMiss;
+
+        template <typename Ar>
+        void
+        fields(Ar &ar)
+        {
+            ar(ts, ckpt, btbMiss);
+        }
+
+        SIM_SNAPSHOT_FIELDS(3);
     };
     std::vector<DbqCheckpoint> dbqCkpts_;
 

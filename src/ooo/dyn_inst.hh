@@ -107,94 +107,18 @@ struct DynInst
 
     /** Snapshot every field verbatim (field order above), so a
      *  restored record re-snapshots byte-identically. */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u64(fetchSeq);
-        w.u64(ts);
-        w.u64(pc);
-        isa::save(w, uop);
-        w.b(onPath);
-        w.b(critical);
-        w.b(cdfFetched);
-        w.b(criticalStream);
-        w.u64(memAddr);
-        w.b(taken);
-        w.u64(actualTarget);
-        w.b(predTaken);
-        w.u64(predTarget);
-        w.b(mispredicted);
-        w.b(btbMissBubble);
-        w.u16(physDst);
-        w.u16(oldPhysDst);
-        w.u16(oldPhysDstCrit);
-        w.u16(physSrc1);
-        w.u16(physSrc2);
-        w.b(renamedRegular);
-        w.b(renamedCritical);
-        w.b(hasPoisonSnapshot);
-        w.u64(poisonSnapshot);
-        w.u8(static_cast<std::uint8_t>(state));
-        w.u64(fetchCycle);
-        w.u64(renameCycle);
-        w.u64(readyAtRename);
-        w.u64(completionCycle);
-        w.u64(rsNextTry);
-        w.b(llcMiss);
-        w.b(l1Miss);
-        w.u64(forwardSrcTs);
-        w.b(addrKnown);
-        w.u32(bpCkpt);
-        w.b(doomed);
-        w.u32(poolIdx);
-        w.u32(prevIdx);
-        w.u32(nextIdx);
-        bp::save(w, tageInfo);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        fetchSeq = r.u64();
-        ts = r.u64();
-        pc = r.u64();
-        isa::restore(r, uop);
-        onPath = r.b();
-        critical = r.b();
-        cdfFetched = r.b();
-        criticalStream = r.b();
-        memAddr = r.u64();
-        taken = r.b();
-        actualTarget = r.u64();
-        predTaken = r.b();
-        predTarget = r.u64();
-        mispredicted = r.b();
-        btbMissBubble = r.b();
-        physDst = r.u16();
-        oldPhysDst = r.u16();
-        oldPhysDstCrit = r.u16();
-        physSrc1 = r.u16();
-        physSrc2 = r.u16();
-        renamedRegular = r.b();
-        renamedCritical = r.b();
-        hasPoisonSnapshot = r.b();
-        poisonSnapshot = r.u64();
-        state = static_cast<InstState>(r.u8());
-        fetchCycle = r.u64();
-        renameCycle = r.u64();
-        readyAtRename = r.u64();
-        completionCycle = r.u64();
-        rsNextTry = r.u64();
-        llcMiss = r.b();
-        l1Miss = r.b();
-        forwardSrcTs = r.u64();
-        addrKnown = r.b();
-        bpCkpt = r.u32();
-        doomed = r.b();
-        poolIdx = r.u32();
-        prevIdx = r.u32();
-        nextIdx = r.u32();
-        bp::restore(r, tageInfo);
+        ar(fetchSeq, ts, pc, uop, onPath, critical, cdfFetched,
+           criticalStream, memAddr, taken, actualTarget, predTaken,
+           predTarget, mispredicted, btbMissBubble, physDst, oldPhysDst,
+           oldPhysDstCrit, physSrc1, physSrc2, renamedRegular,
+           renamedCritical, hasPoisonSnapshot, poisonSnapshot, state,
+           fetchCycle, renameCycle, readyAtRename, completionCycle,
+           rsNextTry, llcMiss, l1Miss, forwardSrcTs, addrKnown, bpCkpt,
+           doomed, poolIdx, prevIdx, nextIdx, tageInfo);
     }
 
     SIM_SNAPSHOT_FIELDS(40);

@@ -135,33 +135,15 @@ class MemQueue
         }
     }
 
-    /** Snapshot both sections as pool handles via @p enc
-     *  (DynInst* -> u32); forEach() cannot reconstruct the section
-     *  split, hence the member codec. */
-    template <typename EncFn>
+    /** Snapshot both sections; @p ref visits one DynInst* (as a
+     *  pool handle). forEach() cannot reconstruct the section split,
+     *  hence the member visitor. */
+    template <typename Ar, typename Ref>
     void
-    save(SnapWriter &w, EncFn &&enc) const
+    fields(Ar &ar, Ref ref)
     {
-        w.u32(critCap_);
-        w.u32(static_cast<std::uint32_t>(crit_.size()));
-        for (const DynInst *inst : crit_)
-            w.u32(enc(inst));
-        w.u32(static_cast<std::uint32_t>(nonCrit_.size()));
-        for (const DynInst *inst : nonCrit_)
-            w.u32(enc(inst));
-    }
-
-    template <typename DecFn>
-    void
-    restore(SnapReader &r, DecFn &&dec)
-    {
-        critCap_ = r.u32();
-        crit_.clear();
-        nonCrit_.clear();
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            crit_.push_back(dec(r.u32()));
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            nonCrit_.push_back(dec(r.u32()));
+        ar(critCap_, sized<std::uint32_t>(crit_, ref),
+           sized<std::uint32_t>(nonCrit_, ref));
     }
 
   private:
@@ -286,21 +268,13 @@ class Lsq
         });
     }
 
-    /** Snapshot both queues (delegates the pointer codec). */
-    template <typename EncFn>
+    /** Snapshot both queues (delegates the pointer visitor). */
+    template <typename Ar, typename Ref>
     void
-    save(SnapWriter &w, EncFn &&enc) const
+    fields(Ar &ar, Ref ref)
     {
-        lq_.save(w, enc);
-        sq_.save(w, enc);
-    }
-
-    template <typename DecFn>
-    void
-    restore(SnapReader &r, DecFn &&dec)
-    {
-        lq_.restore(r, dec);
-        sq_.restore(r, dec);
+        lq_.fields(ar, ref);
+        sq_.fields(ar, ref);
     }
 
   private:

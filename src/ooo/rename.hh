@@ -90,28 +90,15 @@ class PhysRegFile
 
     /** Snapshot ready times and the free list verbatim (allocation
      *  order is architectural: it decides future mappings). */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        w.u32(static_cast<std::uint32_t>(readyAt_.size()));
-        for (Cycle c : readyAt_)
-            w.u64(c);
-        w.u32(static_cast<std::uint32_t>(freeList_.size()));
-        for (RegId p : freeList_)
-            w.u16(p);
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        const std::uint32_t n = r.u32();
+        auto n = static_cast<std::uint32_t>(readyAt_.size());
+        ar(n);
         SIM_ASSERT(n == readyAt_.size(),
                    "snapshot phys reg count differs from this core's");
-        for (Cycle &c : readyAt_)
-            c = r.u64();
-        freeList_.resize(r.u32());
-        for (RegId &p : freeList_)
-            p = r.u16();
+        ar(std::span(readyAt_), sized<std::uint32_t>(freeList_));
     }
 
   private:
@@ -216,20 +203,11 @@ class RenameMap
     }
 
     /** Snapshot the mapping table and the poison bits. */
+    template <typename Ar>
     void
-    save(SnapWriter &w) const
+    fields(Ar &ar)
     {
-        for (RegId p : table_)
-            w.u16(p);
-        w.u64(poisonBits());
-    }
-
-    void
-    restore(SnapReader &r)
-    {
-        for (RegId &p : table_)
-            p = r.u16();
-        setPoisonBits(r.u64());
+        ar(table_, poison_);
     }
 
   private:

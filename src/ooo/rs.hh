@@ -167,33 +167,15 @@ class ReservationStations
         reg_.clear();
     }
 
-    /** Snapshot both classes as pool handles via @p enc
-     *  (DynInst* -> u32). The issue scratch vector is transient
-     *  (cleared at the top of every selectAndIssue) and excluded. */
-    template <typename EncFn>
+    /** Snapshot both classes; @p ref visits one DynInst* (as a pool
+     *  handle). The issue scratch vector is transient (cleared at
+     *  the top of every selectAndIssue) and excluded. */
+    template <typename Ar, typename Ref>
     void
-    save(SnapWriter &w, EncFn &&enc) const
+    fields(Ar &ar, Ref ref)
     {
-        w.u32(critCap_);
-        w.u32(static_cast<std::uint32_t>(crit_.size()));
-        for (const DynInst *inst : crit_)
-            w.u32(enc(inst));
-        w.u32(static_cast<std::uint32_t>(reg_.size()));
-        for (const DynInst *inst : reg_)
-            w.u32(enc(inst));
-    }
-
-    template <typename DecFn>
-    void
-    restore(SnapReader &r, DecFn &&dec)
-    {
-        critCap_ = r.u32();
-        crit_.clear();
-        reg_.clear();
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            crit_.push_back(dec(r.u32()));
-        for (std::uint32_t n = r.u32(); n-- > 0;)
-            reg_.push_back(dec(r.u32()));
+        ar(critCap_, sized<std::uint32_t>(crit_, ref),
+           sized<std::uint32_t>(reg_, ref));
     }
 
   private:

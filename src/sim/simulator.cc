@@ -103,33 +103,45 @@ Simulator::measure(const RunSpec &spec, bool warmupTruncated)
     return r;
 }
 
+template <typename Ar>
 void
-Simulator::saveState(SnapWriter &w) const
+Simulator::fields(Ar &ar)
 {
     // Stats first: every counter by name, so a restored registry has
     // exactly the key set of the warmed one (counters created lazily
     // during warmup included — a fresh same-config registry might
-    // not have allocated them yet).
-    const auto &counters = stats_.all();
-    w.u64(counters.size());
-    for (const auto &[name, value] : counters) {
-        w.str(name);
-        w.u64(value);
+    // not have allocated them yet). Restore writes through
+    // counter(name): components hold references into the registry.
+    std::uint64_t n = stats_.all().size();
+    ar(n);
+    if constexpr (Ar::kLoading) {
+        stats_.resetAll();
+        while (n-- > 0) {
+            std::string name;
+            ar(name);
+            ar(stats_.counter(name));
+        }
+        memory_.restoreDelta(ar, *pristine_);
+    } else {
+        for (const auto &[name, value] : stats_.all())
+            ar(name, value);
+        memory_.saveDelta(ar, *pristine_);
     }
-    memory_.saveDelta(w, *pristine_);
-    core_->saveState(w);
+    ar(*core_);
+}
+
+void
+Simulator::saveState(SnapWriter &w) const
+{
+    w(*this);
 }
 
 void
 Simulator::restoreState(SnapReader &r)
 {
-    stats_.resetAll();
-    for (std::uint64_t n = r.u64(); n-- > 0;) {
-        const std::string name = r.str();
-        stats_.counter(name) = r.u64();
-    }
-    memory_.restoreDelta(r, *pristine_);
-    core_->restoreState(r);
+    r(*this);
+    SIM_ASSERT(r.done(), "snapshot payload has ",
+               r.size() - r.pos(), " trailing byte(s) after restore");
 }
 
 const char *

@@ -131,8 +131,13 @@ class Simulator
     void saveState(SnapWriter &w) const;
 
     /** Inverse of saveState(). The simulator must have been built
-     *  with the same config and workload as the saved one. */
+     *  with the same config and workload as the saved one, and the
+     *  payload must be consumed exactly (trailing bytes panic). */
     void restoreState(SnapReader &r);
+
+    /** The snapshot visitor behind saveState()/restoreState(). */
+    template <typename Ar>
+    void fields(Ar &ar);
 
     ooo::Core &core() { return *core_; }
     StatRegistry &stats() { return stats_; }

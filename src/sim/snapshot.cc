@@ -10,6 +10,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/hash.hh"
+
 namespace cdfsim::sim
 {
 
@@ -237,15 +239,7 @@ saveCheckpointFile(const std::string &path, std::uint64_t key,
     header.u64(key);
     header.b(ckpt.warmupTruncated);
     header.u64(ckpt.payload.size());
-    {
-        // Same FNV-1a as SnapWriter::fnv1a(), over the payload only.
-        std::uint64_t h = 0xCBF29CE484222325ull;
-        for (std::uint8_t byte : ckpt.payload) {
-            h ^= byte;
-            h *= 0x100000001B3ull;
-        }
-        header.u64(h);
-    }
+    header.u64(fnv1a64(ckpt.payload));
 
     // Temp file + rename: concurrent benches pointed at the same
     // --ckpt-dir either see the complete file or none at all. The
@@ -319,12 +313,7 @@ loadCheckpointFile(const std::string &path, std::uint64_t key)
         return std::nullopt;
 
     ckpt.payload.assign(file.begin() + kHeaderBytes, file.end());
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::uint8_t byte : ckpt.payload) {
-        h ^= byte;
-        h *= 0x100000001B3ull;
-    }
-    if (h != payloadFnv)
+    if (fnv1a64(ckpt.payload) != payloadFnv)
         return std::nullopt;
     return ckpt;
 }

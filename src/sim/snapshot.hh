@@ -31,8 +31,9 @@
 namespace cdfsim::sim
 {
 
-/** Bumped whenever any save()/restore() layout changes. Stale
- *  on-disk checkpoints are rejected, never migrated. */
+/** Bumped whenever the payload layout (any fields() visitor)
+ *  changes; SnapshotLayout.PayloadBytesArePinned fails until it is.
+ *  Stale on-disk checkpoints are rejected, never migrated. */
 inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
 
 /** A complete post-warmup simulator state. */

@@ -227,6 +227,32 @@ TEST(Snapshot, HaltedWorkloadShorterThanWarmup)
     EXPECT_EQ(straight, restored);
 }
 
+TEST(Snapshot, RestoreMustConsumeTheWholePayload)
+{
+    // A writer/reader width mismatch leaves bytes unread (or reads
+    // past the end); restoreState itself must reject both, not only
+    // callers that remember to check done().
+    sim::RunSpec spec;
+    spec.warmupInstrs = 3'000;
+    const ooo::CoreConfig config = configFor(ooo::CoreMode::Cdf);
+    sim::Simulator warm(config, workloads::makeWorkload("astar"));
+    warm.warmup(spec);
+    SnapWriter w;
+    warm.saveState(w);
+
+    std::vector<std::uint8_t> trailing = w.bytes();
+    trailing.push_back(0);
+    std::vector<std::uint8_t> truncated = w.bytes();
+    truncated.pop_back();
+    for (const auto *payload : {&trailing, &truncated}) {
+        sim::Simulator cold(config, workloads::makeWorkload("astar"));
+        SnapReader r(*payload);
+        EXPECT_THROW(cold.restoreState(r), PanicError)
+            << payload->size() << "-byte payload accepted (valid: "
+            << w.size() << ")";
+    }
+}
+
 TEST(SnapshotFile, SaveLoadRoundTrip)
 {
     const std::filesystem::path dir = "snapshot_file_test";
@@ -450,4 +476,50 @@ TEST(SweepMemoization, CheckpointDirSharesAcrossRunners)
     }
 
     std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotLayout, PayloadBytesArePinned)
+{
+    // Pins the checkpoint payload layout. Any change to what
+    // Simulator::saveState writes — a field added, removed,
+    // reordered or written at another width — moves these hashes.
+    // Checkpoint files from an older build would then be misread, so
+    // such a change must bump sim::kCheckpointSchemaVersion (which
+    // makes old files miss cleanly) and re-pin the constants below.
+    sim::RunSpec spec;
+    spec.warmupInstrs = 3'000;
+    struct Pin
+    {
+        const char *workload;
+        ooo::CoreMode mode;
+        std::uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {"astar", ooo::CoreMode::Baseline, 0xccaf0f9ddb6d6dc6ull},
+        {"astar", ooo::CoreMode::Cdf, 0x6e8ea28f33dcf100ull},
+        {"astar", ooo::CoreMode::Pre, 0xbb63687a5ef9a361ull},
+        {"mcf", ooo::CoreMode::Baseline, 0x7e8f11843a580977ull},
+        {"mcf", ooo::CoreMode::Cdf, 0x1d846dea907814ddull},
+        {"mcf", ooo::CoreMode::Pre, 0x5145b7b52e2f756eull},
+    };
+    for (const Pin &pin : pins) {
+        sim::Simulator s(configFor(pin.mode),
+                         workloads::makeWorkload(pin.workload));
+        s.warmup(spec);
+        SnapWriter w;
+        s.saveState(w);
+        EXPECT_EQ(w.fnv1a(), pin.fnv)
+            << pin.workload << "/" << sim::toString(pin.mode)
+            << ": checkpoint payload layout changed (fnv 0x" << std::hex
+            << w.fnv1a() << std::dec
+            << "). Bump sim::kCheckpointSchemaVersion and re-pin.";
+    }
+
+    // The warmup key names the checkpoint files, so a change to what
+    // it hashes orphans every existing checkpoint directory.
+    EXPECT_EQ(sim::warmupKey("astar", ooo::CoreConfig{}, spec),
+              0x5be0b1b63bf824f1ull)
+        << "warmup key changed (0x" << std::hex
+        << sim::warmupKey("astar", ooo::CoreConfig{}, spec) << std::dec
+        << "). Bump sim::kCheckpointSchemaVersion and re-pin.";
 }

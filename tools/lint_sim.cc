@@ -32,11 +32,13 @@
  *    claims by maintaining invariants; a mutator with no check is a
  *    convention violation.
  *
- *  - snapshot-fields: a class declaring a save*() member whose
- *    SIM_SNAPSHOT_FIELDS(N) annotation is missing or disagrees with
- *    the number of data members declared in its body. The count is
- *    the tripwire that forces every new member through a
- *    save/restore review; a stale count means a member was added
+ *  - snapshot-fields: a class declaring a fields() snapshot visitor
+ *    (or a hand-written save*() codec) whose SIM_SNAPSHOT_FIELDS(N)
+ *    annotation is missing or disagrees with the number of data
+ *    members declared in its body. The visitor rules out save/
+ *    restore drift but cannot notice a member it never visits: the
+ *    count is the tripwire that forces every new member through a
+ *    snapshot review; a stale count means a member was added
  *    without one.
  *
  * Vetted exceptions live in an allowlist file (one per line:
@@ -500,13 +502,14 @@ lintMutatorAsserts(const std::string &path, const std::string &code,
 // ---------------------------------------------------------------------
 
 /**
- * A class or struct that declares a save*() member participates in
- * the snapshot system, so it must carry a SIM_SNAPSHOT_FIELDS(N)
+ * A class or struct that declares a fields() member (the snapshot
+ * visitor) or a hand-written save*() codec participates in the
+ * snapshot system, so it must carry a SIM_SNAPSHOT_FIELDS(N)
  * annotation with N equal to the number of data members declared
  * directly in its body — host-only members included, because the
- * annotation exists to force every new member through a save/restore
- * review (serialize it, or document why not). Nested types, static
- * members, using/typedef aliases and friends do not count.
+ * annotation exists to force every new member through a snapshot
+ * review (visit it in fields(), or document why not). Nested types,
+ * static members, using/typedef aliases and friends do not count.
  */
 void
 lintSnapshotFields(const std::string &path, const std::string &code,
@@ -554,7 +557,7 @@ lintSnapshotFields(const std::string &path, const std::string &code,
             bool funcMarker = false; //!< decl is a function
             bool sawInit = false;    //!< '=' seen before any '('
             std::string funcName;
-            bool hasSave = false;
+            bool snapshotted = false;
             unsigned fields = 0;
             long annot = -1;
             std::size_t annotAt = kwAt;
@@ -599,8 +602,9 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                         annot = std::atol(d.c_str() + p + 1);
                     annotAt = at;
                 } else if (funcMarker) {
-                    if (funcName.rfind("save", 0) == 0)
-                        hasSave = true;
+                    if (funcName == "fields" ||
+                        funcName.rfind("save", 0) == 0)
+                        snapshotted = true;
                 } else if (!w2.empty() && w1 != "using" &&
                            w1 != "typedef" && w1 != "friend" &&
                            w1 != "static" && w1 != "struct" &&
@@ -666,14 +670,14 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                 }
             }
 
-            if (!hasSave)
+            if (!snapshotted)
                 continue;
             if (annot < 0) {
                 findings.push_back(
                     {path, lineOfOffset(code, kwAt),
                      "snapshot-fields",
                      "'" + name +
-                         "' declares a save*() member but no "
+                         "' declares a snapshot visitor but no "
                          "SIM_SNAPSHOT_FIELDS annotation (it has " +
                          std::to_string(fields) +
                          " data member(s))"});
@@ -684,8 +688,8 @@ lintSnapshotFields(const std::string &path, const std::string &code,
                      "'" + name + "' annotates SIM_SNAPSHOT_FIELDS(" +
                          std::to_string(annot) + ") but declares " +
                          std::to_string(fields) +
-                         " data member(s); re-review the save/"
-                         "restore codecs and update the count"});
+                         " data member(s); re-review its fields() "
+                         "visitor and update the count"});
             }
         }
     }
