@@ -1,84 +1,79 @@
 /**
  * @file
- * Semantics-preservation gate for simulator hot-path work.
+ * The one pin set for simulated behaviour.
  *
- * Re-runs every workload under every core mode at the smoke-sweep
- * instruction counts and asserts that the FNV-1a fingerprint of the
- * full serialized run — core result, energy report, and every stat
- * counter — is bit-identical to the committed golden table
- * (tests/golden_stat_hashes.inc, generated from the pre-optimization
- * simulator by tools/stat_gate_gen). Internal performance changes
- * (allocators, scheduling structures, incremental hashing) must keep
- * this green; an intended architectural change must regenerate the
- * goldens and say so in the PR.
+ * Runs every cell of bench/specs/smoke.json on the default core and
+ * checks the FNV-1a fingerprint of each row's compact
+ * sim::toJson(SweepOutcome) — core result, energy report and every
+ * stat counter — against tests/stat_pins.json. Pins and cells must
+ * match by name both ways, so a renamed variant cannot balance out an
+ * added one. Host-side work must keep this green in every build,
+ * instrumented ones included; an intended stats change copies the
+ * stat_pins.candidate.json this test writes beside its binary over
+ * the pins, and says so in the PR. `bench_compare --tolerance 0` on
+ * smoke artifacts from both commits names the stats that moved.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/hash.hh"
-#include "sim/sweep.hh"
+#include "sim/sweep_spec.hh"
 
 using namespace cdfsim;
 
-namespace
-{
-
-struct GoldenEntry
-{
-    const char *workload;
-    const char *mode;
-    std::uint64_t hash;
-};
-
-const GoldenEntry kGolden[] = {
-#include "golden_stat_hashes.inc"
-};
-
-} // namespace
-
 TEST(StatGate, BitIdenticalAcrossWorkloadsAndModes)
 {
-    sim::RunSpec spec;
-    spec.warmupInstrs = 2'000;
-    spec.measureInstrs = 3'000;
-    spec.maxCycles = 5'000'000;
+    const std::string pinsPath =
+        std::string(CDFSIM_SOURCE_DIR) + "/tests/stat_pins.json";
+    const std::string candidatePath =
+        std::string(CDFSIM_TEST_BINARY_DIR) + "/stat_pins.candidate.json";
+    const auto spec = sim::SweepSpec::fromFile(
+        std::string(CDFSIM_SOURCE_DIR) + "/bench/specs/smoke.json");
 
-    std::map<std::pair<std::string, std::string>, std::uint64_t>
-        golden;
-    for (const auto &g : kGolden)
-        golden[{g.workload, g.mode}] = g.hash;
-
-    std::vector<sim::SweepCell> cells;
-    for (const auto &name : workloads::allWorkloadNames()) {
-        for (auto mode :
-             {ooo::CoreMode::Baseline, ooo::CoreMode::Cdf,
-              ooo::CoreMode::Pre}) {
-            sim::SweepCell cell;
-            cell.workload = name;
-            cell.variant = sim::toString(mode);
-            cell.mode = mode;
-            cell.spec = spec;
-            cells.push_back(std::move(cell));
-        }
+    Json measured = Json::object();
+    for (const auto &o : sim::SweepRunner(0).runAll(
+             spec.expand(ooo::CoreConfig{}, {}))) {
+        char hex[24];
+        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64,
+                      fnv1a64(sim::toJson(o).dump(-1)));
+        measured[o.cell.workload + "/" + o.cell.variant] =
+            std::string(hex);
     }
-    // Every golden row must still correspond to a live workload so a
-    // renamed/removed workload cannot silently shrink the gate.
-    EXPECT_EQ(cells.size(), std::size(kGolden));
+    Json candidate = Json::object();
+    candidate["about"] =
+        "FNV-1a of each cell's compact sim::toJson(SweepOutcome) for "
+        "bench/specs/smoke.json on the default core; checked by "
+        "test_stat_gate, regenerate with cp "
+        "build/tests/stat_pins.candidate.json tests/stat_pins.json";
+    candidate[spec.name()] = measured;
+    std::ofstream(candidatePath) << candidate.dump(1);
 
-    const auto outcomes = sim::SweepRunner(0).runAll(cells);
-    for (const auto &o : outcomes) {
-        const auto key = std::make_pair(o.cell.workload,
-                                        o.cell.variant);
-        ASSERT_TRUE(golden.count(key))
-            << o.cell.workload << "/" << o.cell.variant
-            << " has no golden fingerprint; run tools/stat_gate_gen";
-        EXPECT_EQ(fnv1a64(sim::toJson(o).dump(-1)), golden[key])
-            << o.cell.workload << "/" << o.cell.variant
-            << " diverged from the pre-optimization behaviour; if "
-               "this stats change is intended, regenerate "
-               "tests/golden_stat_hashes.inc with tools/stat_gate_gen";
+    std::ifstream in(pinsPath);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Json pinsDoc = Json::parse(text.str());
+    const Json *pins = pinsDoc.find(spec.name());
+    ASSERT_NE(pins, nullptr)
+        << pinsPath << " has no \"" << spec.name() << "\" object";
+    for (const auto &[key, fingerprint] : measured.members()) {
+        if (const Json *pin = pins->find(key))
+            EXPECT_EQ(fingerprint.asString(), pin->asString())
+                << key << " moved a simulated stat";
+        else
+            ADD_FAILURE() << key << " is a smoke-spec cell with no pin";
     }
+    for (const auto &[key, pin] : pins->members()) {
+        if (!measured.find(key))
+            ADD_FAILURE() << key << " is pinned but the smoke spec no "
+                                    "longer expands it";
+    }
+    if (HasFailure())
+        std::fprintf(stderr, "if the change is intended: cp %s %s\n",
+                     candidatePath.c_str(), pinsPath.c_str());
 }

@@ -12,6 +12,12 @@
  *
  * Improvements beyond tolerance are printed too (they mean the
  * baseline artifact is stale) but do not fail the comparison.
+ *
+ * A tolerance of exactly 0 is an identity check instead: every value
+ * under each run's "core", "energy" and "stats" objects must match
+ * in both artifacts, and any movement — better, worse, or a value on
+ * one side only — fails and is printed with its path.
+ *
  * Missing rows, status changes (ok -> truncated/halted), and
  * sweep-cell errors always count as regressions.
  */
@@ -55,8 +61,26 @@ usage(int code)
                  "usage: bench_compare [--tolerance PCT] "
                  "baseline.json candidate.json\n"
                  "  --tolerance PCT  flag relative movements beyond "
-                 "PCT%% (default 1.0)\n");
+                 "PCT%% (default 1.0); 0 flags any change to any "
+                 "core/energy/stats value\n");
     std::exit(code);
+}
+
+/** A finite, non-negative percentage, or exit 2 naming @p text. */
+double
+parseTolerance(const char *text)
+{
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) ||
+        value < 0.0) {
+        std::fprintf(stderr,
+                     "bench_compare: --tolerance wants a finite "
+                     "non-negative number, got '%s'\n",
+                     text);
+        std::exit(2);
+    }
+    return value;
 }
 
 Json
@@ -142,6 +166,20 @@ metricNode(const Json &run, const Metric &m)
     return section ? section->find(m.key) : nullptr;
 }
 
+/** Each value under a run's core/energy/stats objects, keyed by
+ *  "section.key", as compact JSON (exact for every number type). */
+std::map<std::string, std::string>
+identityValues(const Json &run)
+{
+    std::map<std::string, std::string> out;
+    for (const char *section : {"core", "energy", "stats"}) {
+        if (const Json *node = run.find(section))
+            for (const auto &[key, value] : node->members())
+                out[std::string(section) + "." + key] = value.dump(-1);
+    }
+    return out;
+}
+
 std::string
 runStatus(const Json &run)
 {
@@ -159,9 +197,9 @@ run(int argc, char **argv)
         if (std::strcmp(arg, "--tolerance") == 0) {
             if (++i >= argc)
                 usage(2);
-            tolerancePct = std::strtod(argv[i], nullptr);
+            tolerancePct = parseTolerance(argv[i]);
         } else if (std::strncmp(arg, "--tolerance=", 12) == 0) {
-            tolerancePct = std::strtod(arg + 12, nullptr);
+            tolerancePct = parseTolerance(arg + 12);
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             usage(0);
@@ -209,6 +247,28 @@ run(int argc, char **argv)
         }
         if (baseStatus == "error")
             continue; // neither side has metrics
+
+        if (tolerancePct == 0.0) {
+            // Identity: a value that moved either way, or that only
+            // one side has, fails. Compact JSON never renders a value
+            // as "(absent)".
+            auto baseValues = identityValues(*baseRun);
+            auto candValues = identityValues(candRun);
+            for (const auto &entry : candValues)
+                baseValues.try_emplace(entry.first, "(absent)");
+            for (const auto &[key, bv] : baseValues) {
+                const std::string &cv =
+                    candValues.try_emplace(key, "(absent)").first->second;
+                ++compared;
+                if (bv == cv)
+                    continue;
+                std::printf("REGRESSION  %-28s %s %s -> %s\n",
+                            label.c_str(), key.c_str(), bv.c_str(),
+                            cv.c_str());
+                ++regressions;
+            }
+            continue;
+        }
 
         for (const Metric &m : kMetrics) {
             const Json *b = metricNode(*baseRun, m);
