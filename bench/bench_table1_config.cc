@@ -2,9 +2,10 @@
  * @file
  * Regenerates Table 1: the simulation parameters of the baseline
  * core, caches, prefetcher, memory and the added CDF structures,
- * as configured in this reproduction. With --json, the parameters
- * are also emitted machine-readably so config drift across PRs is
- * diffable.
+ * as configured in this reproduction. With --json, every spec
+ * override key and its default value lands under
+ * derived.table1.config (sim::overridableFields), next to the area
+ * model, so a config change anywhere in CoreConfig is diffable.
  */
 
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "bench_util.hh"
 #include "energy/energy_model.hh"
 #include "ooo/core_config.hh"
+#include "sim/sweep_spec.hh"
 
 using namespace cdfsim;
 
@@ -75,32 +77,7 @@ main(int argc, char **argv)
                 cdf, 100.0 * cdf / core);
 
     Json table = Json::object();
-    Json coreJ = Json::object();
-    coreJ["width"] = c.width;
-    coreJ["issue_width"] = c.issueWidth;
-    coreJ["rob_size"] = c.robSize;
-    coreJ["rs_size"] = c.rsSize;
-    coreJ["lq_size"] = c.lqSize;
-    coreJ["sq_size"] = c.sqSize;
-    coreJ["phys_regs"] = c.physRegs;
-    coreJ["frontend_depth"] = c.frontendDepth;
-    table["core"] = std::move(coreJ);
-    Json memJ = Json::object();
-    memJ["l1_size_bytes"] = m.l1i.sizeBytes;
-    memJ["l1_ways"] = m.l1i.ways;
-    memJ["llc_size_bytes"] = m.llc.sizeBytes;
-    memJ["llc_ways"] = m.llc.ways;
-    memJ["prefetcher_streams"] = m.prefetcher.streams;
-    memJ["dram_channels"] = m.dram.channels;
-    table["memory"] = std::move(memJ);
-    Json cdfJ = Json::object();
-    cdfJ["cct_entries"] = c.cdf.loadTable.entries;
-    cdfJ["mask_cache_entries"] = c.cdf.maskCache.entries;
-    cdfJ["uop_cache_lines"] = c.cdf.uopCache.capacityLines;
-    cdfJ["fill_buffer_capacity"] = c.cdf.fillBuffer.capacity;
-    cdfJ["dbq_entries"] = c.cdf.dbqEntries;
-    cdfJ["cmq_entries"] = c.cdf.cmqEntries;
-    table["cdf"] = std::move(cdfJ);
+    table["config"] = sim::overridableFields(c);
     Json area = Json::object();
     area["core_mm2"] = core;
     area["cdf_mm2"] = cdf;

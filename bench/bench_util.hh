@@ -430,13 +430,6 @@ class Harness
         std::exit(code);
     }
 
-    /**
-     * Strict decimal parse for flag values. Anything that is not a
-     * plain digit string (garbage, trailing junk, negatives, or —
-     * when @p allowZero is false — zero) is a hard error: the old
-     * strtoul fallback silently turned "--threads abc" into thread
-     * count 0, i.e. hardware concurrency, hiding the typo.
-     */
     /** Digit-only decimal parse: false on garbage, trailing junk,
      *  signs, or overflow. The strict backend of every numeric flag. */
     static bool
@@ -452,6 +445,13 @@ class Harness
         return true;
     }
 
+    /**
+     * Strict decimal parse for flag values. Anything that is not a
+     * plain digit string (garbage, trailing junk, negatives, or —
+     * when @p allowZero is false — zero) is a hard error: the old
+     * strtoul fallback silently turned "--threads abc" into thread
+     * count 0, i.e. hardware concurrency, hiding the typo.
+     */
     std::uint64_t
     parseNumber(const char *text, const char *flag, bool allowZero)
     {

@@ -17,6 +17,7 @@
 
 #include "bp/btb.hh"
 #include "bp/tage.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/uop.hh"
@@ -55,6 +56,16 @@ struct PredictorConfig
     TageConfig tage{};
     std::size_t btbEntries = 4096;
     std::size_t rasDepth = 32;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("tage", tage), named("btb_entries", btbEntries),
+           named("ras_depth", rasDepth));
+    }
+
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** The frontend predictor bundle. */

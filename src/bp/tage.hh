@@ -48,6 +48,24 @@ struct TageConfig
     unsigned loopConfidenceMax = 3;
     unsigned scEntriesLog2 = 12;
     unsigned scThreshold = 5;          //!< |sum| needed to flip TAGE
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("num_tables", numTables),
+           named("table_bits_log2", tableBitsLog2),
+           named("tag_bits", tagBits), named("counter_bits", counterBits),
+           named("useful_bits", usefulBits), named("min_history", minHistory),
+           named("max_history", maxHistory),
+           named("bimodal_bits_log2", bimodalBitsLog2),
+           named("loop_entries", loopEntries),
+           named("loop_confidence_max", loopConfidenceMax),
+           named("sc_entries_log2", scEntriesLog2),
+           named("sc_threshold", scThreshold));
+    }
+
+    SIM_SNAPSHOT_FIELDS(12);
 };
 
 /** Upper bound on tagged tables (for the per-prediction stash). */

@@ -9,7 +9,7 @@ CriticalCountTable::CriticalCountTable(const CriticalTableConfig &config,
                                        StatRegistry &stats,
                                        const std::string &name)
     : config_(config),
-      sets_(config.entries / config.ways),
+      sets_(config.ways == 0 ? 0 : config.entries / config.ways),
       updates_(stats.counter(name + ".updates")),
       allocations_(stats.counter(name + ".allocations"))
 {

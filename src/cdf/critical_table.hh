@@ -37,6 +37,20 @@ struct CriticalTableConfig
     unsigned permissiveThreshold = 2;
     unsigned missInc = 2;           //!< bump on an LLC miss/mispredict
     unsigned hitDec = 1;            //!< decay on a hit/correct pred.
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("entries", entries), named("ways", ways),
+           named("strict_bits", strictBits),
+           named("strict_threshold", strictThreshold),
+           named("permissive_bits", permissiveBits),
+           named("permissive_threshold", permissiveThreshold),
+           named("miss_inc", missInc), named("hit_dec", hitDec));
+    }
+
+    SIM_SNAPSHOT_FIELDS(8);
 };
 
 /** Which threshold set the predictor is currently using. */

@@ -45,6 +45,18 @@ struct FillBufferConfig
     double minDensity = 0.02;
     double maxDensity = 0.50;
     bool useMaskCache = true;   //!< ablation switch
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("capacity", capacity),
+           named("refill_interval_instrs", refillIntervalInstrs),
+           named("min_density", minDensity), named("max_density", maxDensity),
+           named("use_mask_cache", useMaskCache));
+    }
+
+    SIM_SNAPSHOT_FIELDS(5);
 };
 
 /** Retire-side information for one uop entering the Fill Buffer. */

@@ -7,7 +7,7 @@ namespace cdfsim::cdf
 
 MaskCache::MaskCache(const MaskCacheConfig &config, StatRegistry &stats)
     : config_(config),
-      sets_(config.entries / config.ways),
+      sets_(config.ways == 0 ? 0 : config.entries / config.ways),
       merges_(stats.counter("mask_cache.merges")),
       hits_(stats.counter("mask_cache.hits")),
       resets_(stats.counter("mask_cache.resets"))

@@ -30,6 +30,16 @@ struct MaskCacheConfig
     unsigned entries = 512;
     unsigned ways = 4;
     std::uint64_t resetIntervalInstrs = 200000;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("entries", entries), named("ways", ways),
+           named("reset_interval_instrs", resetIntervalInstrs));
+    }
+
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** Per-basic-block critical-uop masks. */

@@ -34,6 +34,20 @@ struct PartitionConfig
     unsigned minSection = 8;      //!< floor for either section (ROB)
     unsigned minLsqSection = 4;   //!< floor for either section (LQ/SQ)
     double initialCriticalFrac = 0.75;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("dynamic", dynamic),
+           named("stall_threshold", stallThreshold),
+           named("rob_step", robStep), named("lsq_step", lsqStep),
+           named("min_section", minSection),
+           named("min_lsq_section", minLsqSection),
+           named("initial_critical_frac", initialCriticalFrac));
+    }
+
+    SIM_SNAPSHOT_FIELDS(7);
 };
 
 /** One partitioned structure (ROB, LQ or SQ). */

@@ -79,6 +79,16 @@ struct UopCacheConfig
 {
     unsigned capacityLines = 288;    //!< 18KB / 64B per line
     unsigned fillLatency = 1200;     //!< cycles until a new fill is usable
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("capacity_lines", capacityLines),
+           named("fill_latency", fillLatency));
+    }
+
+    SIM_SNAPSHOT_FIELDS(2);
 };
 
 /** The Critical Uop Cache. */

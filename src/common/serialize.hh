@@ -33,6 +33,13 @@
  * std::vector and other resizable containers have no default
  * encoding: wrap them in std::span (fixed size) or sized<W>.
  *
+ * A third wrapper, `named("rob_size", x)`, is byte-neutral: both
+ * archives see only x. It gives the field a snake_case name for
+ * FieldPaths, which walks the same visitor by dotted path
+ * ("cdf.load_table.entries"). The config structs (ooo::CoreConfig
+ * and everything it holds) name every field this way, so one list
+ * drives the warmup key, the spec overrides and the Table 1 dump.
+ *
  * State with no symmetric encoding (pointer handles, presence
  * checks, rebuilt indexes) is written inside fields() as explicit
  * steps, branching on `Ar::kLoading`. Restore-side checks are
@@ -94,6 +101,22 @@ AsWidth<W, T>
 as(T &ref)
 {
     return {ref};
+}
+
+/** A field tagged with its snake_case name; see named(). */
+template <typename T>
+struct Named
+{
+    const char *name;
+    T &ref;
+};
+
+/** `ar(named("rob_size", robSize))`: visit @p ref as field @p name. */
+template <typename T>
+Named<T>
+named(const char *name, T &ref)
+{
+    return {name, ref};
 }
 
 /** Default element visitor of sized(): `ar(x)`. */
@@ -234,6 +257,13 @@ class SnapWriter
     put(const AsWidth<W, T> &x)
     {
         put(static_cast<W>(x.ref));
+    }
+
+    template <typename T>
+    void
+    put(const Named<T> &x)
+    {
+        put(x.ref);
     }
 
     template <typename W, typename C, typename F>
@@ -381,6 +411,13 @@ class SnapReader
         x.ref = static_cast<T>(v);
     }
 
+    template <typename T>
+    void
+    get(Named<T> &x)
+    {
+        get(x.ref);
+    }
+
     template <typename W, typename C, typename F>
     void
     get(Sized<W, C, F> &x)
@@ -400,6 +437,54 @@ class SnapReader
     std::size_t size_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Archive that walks a fields() visitor whose every argument is
+ * named(), calling fn(path, ref) on each leaf. The path joins the
+ * names from the root with '.'; a named member that has its own
+ * fields() is descended into instead of reported.
+ */
+template <typename F>
+class FieldPaths
+{
+  public:
+    explicit FieldPaths(F fn) : fn_(std::move(fn)) {}
+
+    template <typename... T>
+    void
+    operator()(T &&...xs)
+    {
+        (visit(xs), ...);
+    }
+
+  private:
+    template <typename T>
+    void
+    visit(Named<T> &x)
+    {
+        const std::size_t mark = path_.size();
+        if (mark != 0)
+            path_ += '.';
+        path_ += x.name;
+        if constexpr (requires { x.ref.fields(*this); })
+            x.ref.fields(*this);
+        else
+            fn_(std::string_view(path_), x.ref);
+        path_.resize(mark);
+    }
+
+    F fn_;
+    std::string path_;
+};
+
+/** Call @p fn(path, ref) on every named leaf of @p obj.fields(). */
+template <typename T, typename F>
+void
+forEachField(T &obj, F fn)
+{
+    FieldPaths<F> walk(std::move(fn));
+    obj.fields(walk);
+}
 
 } // namespace cdfsim
 

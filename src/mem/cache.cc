@@ -22,7 +22,9 @@ Cache::Cache(const CacheConfig &config, StatRegistry &stats)
     : size_(config.sizeBytes),
       ways_(config.ways),
       latency_(config.latency),
-      sets_(config.sizeBytes / (kLineBytes * config.ways)),
+      sets_(config.ways == 0
+                ? 0
+                : config.sizeBytes / (kLineBytes * config.ways)),
       setMask_(sets_ - 1),
       mshrCap_(config.mshrs),
       mshrs_(config.mshrs),

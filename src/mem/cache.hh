@@ -34,6 +34,17 @@ struct CacheConfig
     unsigned ways = 8;
     unsigned latency = 2;      //!< access (hit) latency in core cycles
     unsigned mshrs = 16;       //!< outstanding-miss capacity
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("name", name), named("size_bytes", sizeBytes),
+           named("ways", ways), named("latency", latency),
+           named("mshrs", mshrs));
+    }
+
+    SIM_SNAPSHOT_FIELDS(5);
 };
 
 /** Result of a cache lookup-and-fill operation. */

@@ -40,6 +40,19 @@ struct DramConfig
     unsigned tRcd = 43;
     unsigned tBurst = 11;               //!< BL8 data transfer
     unsigned controllerLatency = 10;    //!< queue + PHY overhead
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("channels", channels), named("bank_groups", bankGroups),
+           named("banks_per_group", banksPerGroup),
+           named("row_bytes", rowBytes), named("t_rp", tRp),
+           named("t_cl", tCl), named("t_rcd", tRcd), named("t_burst", tBurst),
+           named("controller_latency", controllerLatency));
+    }
+
+    SIM_SNAPSHOT_FIELDS(9);
 };
 
 /** The memory request's service summary. */

@@ -18,6 +18,7 @@
 
 #include "common/audit.hh"
 #include "common/cycle_ring.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
@@ -78,6 +79,17 @@ struct HierarchyConfig
     DramConfig dram{};
     PrefetcherConfig prefetcher{};
     bool prefetcherEnabled = true;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("l1i", l1i), named("l1d", l1d), named("llc", llc),
+           named("dram", dram), named("prefetcher", prefetcher),
+           named("prefetcher_enabled", prefetcherEnabled));
+    }
+
+    SIM_SNAPSHOT_FIELDS(6);
 };
 
 /** The memory system. */

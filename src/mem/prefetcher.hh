@@ -36,6 +36,20 @@ struct PrefetcherConfig
     unsigned evalIntervalFills = 256;   //!< throttle evaluation period
     double lowAccuracy = 0.40;
     double highAccuracy = 0.75;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("streams", streams), named("train_distance", trainDistance),
+           named("min_degree", minDegree), named("max_degree", maxDegree),
+           named("initial_degree", initialDegree),
+           named("eval_interval_fills", evalIntervalFills),
+           named("low_accuracy", lowAccuracy),
+           named("high_accuracy", highAccuracy));
+    }
+
+    SIM_SNAPSHOT_FIELDS(8);
 };
 
 /** Trained prefetch decisions for one trigger access. */

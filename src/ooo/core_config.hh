@@ -8,6 +8,7 @@
 #ifndef CDFSIM_OOO_CORE_CONFIG_HH
 #define CDFSIM_OOO_CORE_CONFIG_HH
 
+#include <array>
 #include <cstdint>
 
 #include "bp/predictor.hh"
@@ -16,6 +17,7 @@
 #include "cdf/mask_cache.hh"
 #include "cdf/partition.hh"
 #include "cdf/uop_cache.hh"
+#include "common/serialize.hh"
 #include "mem/hierarchy.hh"
 
 namespace cdfsim::ooo
@@ -51,6 +53,22 @@ struct CdfKnobs
     double densitySwitchHigh = 0.30;
     /** Cycles to wait after a CDF exit before re-entering. */
     unsigned reentryCooldown = 64;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("mark_critical_branches", markCriticalBranches),
+           named("load_table", loadTable), named("branch_table", branchTable),
+           named("fill_buffer", fillBuffer), named("mask_cache", maskCache),
+           named("uop_cache", uopCache), named("partition", partition),
+           named("dbq_entries", dbqEntries), named("cmq_entries", cmqEntries),
+           named("density_switch_low", densitySwitchLow),
+           named("density_switch_high", densitySwitchHigh),
+           named("reentry_cooldown", reentryCooldown));
+    }
+
+    SIM_SNAPSHOT_FIELDS(12);
 };
 
 /** Precise Runahead knobs (Section 4.1 methodology). */
@@ -74,6 +92,19 @@ struct PreKnobs
     unsigned minStallCyclesToEnter = 4;  //!< hysteresis before runahead
     unsigned bbScanLimit = 48; //!< fwd scan to align on a cached block
     unsigned maxChainLoadsPerEpisode = 32;
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("stall_table", stallTable), named("fill_buffer", fillBuffer),
+           named("mask_cache", maskCache), named("uop_cache", uopCache),
+           named("min_stall_cycles_to_enter", minStallCyclesToEnter),
+           named("bb_scan_limit", bbScanLimit),
+           named("max_chain_loads_per_episode", maxChainLoadsPerEpisode));
+    }
+
+    SIM_SNAPSHOT_FIELDS(7);
 };
 
 /** The core proper (Table 1 baseline). */
@@ -130,20 +161,54 @@ struct CoreConfig
     /**
      * Scale window resources for the Fig. 17 study: ROB, RS, LQ, SQ
      * and PRF all multiply by @p factor (rounded), as the paper
-     * scales "other core structures proportionately".
+     * scales "other core structures proportionately". Returns false
+     * and changes nothing if a scaled size would fall outside
+     * [1, 2^32-1].
      */
-    void
+    bool
     scaleWindow(double factor)
     {
-        auto scale = [factor](unsigned v) {
-            return static_cast<unsigned>(v * factor + 0.5);
-        };
-        robSize = scale(robSize);
-        rsSize = scale(rsSize);
-        lqSize = scale(lqSize);
-        sqSize = scale(sqSize);
-        physRegs = scale(physRegs);
+        const std::array<unsigned *, 5> sizes = {
+            &robSize, &rsSize, &lqSize, &sqSize, &physRegs};
+        for (const unsigned *v : sizes) {
+            const double scaled = *v * factor + 0.5;
+            if (!(scaled >= 1.0 && scaled < 4294967296.0))
+                return false;
+        }
+        for (unsigned *v : sizes)
+            *v = static_cast<unsigned>(*v * factor + 0.5);
+        return true;
     }
+
+    /**
+     * Every field that can change simulated behaviour, in
+     * declaration order, each under its spec override key. The
+     * host-only skipIdleCycles and profileStages are left out: they
+     * never move a stat (test_skip, test_stat_gate), so they stay
+     * out of the warmup key and a profiled run reuses an unprofiled
+     * run's checkpoint. Both stay here because the spec's
+     * skip_idle_cycles key and cdfbench's profiling set them.
+     */
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(named("mode", mode), named("width", width),
+           named("issue_width", issueWidth), named("rob_size", robSize),
+           named("rs_size", rsSize), named("lq_size", lqSize),
+           named("sq_size", sqSize), named("phys_regs", physRegs),
+           named("frontend_depth", frontendDepth),
+           named("fetch_queue_size", fetchQueueSize),
+           named("mispredict_redirect", mispredictRedirect),
+           named("btb_miss_penalty", btbMissPenalty),
+           named("max_loads_per_cycle", maxLoadsPerCycle),
+           named("max_stores_per_cycle", maxStoresPerCycle),
+           named("observe_criticality", observeCriticality),
+           named("cdf", cdf), named("pre", pre), named("mem", mem),
+           named("bp", bp), named("deadlock_cycles", deadlockCycles));
+    }
+
+    SIM_SNAPSHOT_FIELDS(22);
 };
 
 } // namespace cdfsim::ooo

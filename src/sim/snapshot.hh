@@ -45,11 +45,13 @@ struct Checkpoint
 
 /**
  * FNV-1a key identifying a warmup: two cells share a checkpoint iff
- * their keys match. Hashes the serializer bytes of (workload name,
- * every CoreConfig field EXCEPT the host-only knobs skipIdleCycles
- * and profileStages, spec.warmupInstrs, spec.maxCycles).
- * measureInstrs is deliberately excluded — it only affects the
- * post-restore phase.
+ * their keys match. Hashes the serializer bytes of the workload
+ * name, the CoreConfig as its fields() visitor lists it (every
+ * field but the host-only skipIdleCycles and profileStages, so a
+ * field added to the visitor is in the key and one left out is
+ * caught by the SIM_SNAPSHOT_FIELDS lint), spec.warmupInstrs and
+ * spec.maxCycles. measureInstrs is deliberately excluded — it only
+ * affects the post-restore phase.
  */
 std::uint64_t warmupKey(const std::string &workload,
                         const ooo::CoreConfig &config,

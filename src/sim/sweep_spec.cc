@@ -1,13 +1,14 @@
 #include "sim/sweep_spec.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "energy/energy_model.hh"
 #include "sim/simulator.hh"
@@ -102,89 +103,31 @@ rejectUnknownMembers(const Json &obj, const std::string &where,
     }
 }
 
-// --- Sub-struct appliers for the override registry -------------------
-
-bool
-applyTableOverride(cdf::CriticalTableConfig &table,
-                   const std::string &field, const Json &value,
-                   const std::string &where)
+/**
+ * Assign the override @p value to config leaf @p field. Booleans and
+ * numbers are overridable; enums and strings (the mode, the cache
+ * names) are not.
+ */
+template <typename T>
+void
+assignLeaf(T &field, const std::string &key, const Json &value,
+           const std::string &where)
 {
-    if (field == "entries")
-        table.entries = needU32(value, where);
-    else if (field == "ways")
-        table.ways = needU32(value, where);
-    else if (field == "strict_bits")
-        table.strictBits = needU32(value, where);
-    else if (field == "strict_threshold")
-        table.strictThreshold = needU32(value, where);
-    else if (field == "permissive_bits")
-        table.permissiveBits = needU32(value, where);
-    else if (field == "permissive_threshold")
-        table.permissiveThreshold = needU32(value, where);
-    else if (field == "miss_inc")
-        table.missInc = needU32(value, where);
-    else if (field == "hit_dec")
-        table.hitDec = needU32(value, where);
-    else
-        return false;
-    return true;
-}
-
-bool
-applyPartitionOverride(cdf::PartitionConfig &part,
-                       const std::string &field, const Json &value,
-                       const std::string &where)
-{
-    if (field == "dynamic")
-        part.dynamic = needBool(value, where);
-    else if (field == "stall_threshold")
-        part.stallThreshold = needU32(value, where);
-    else if (field == "rob_step")
-        part.robStep = needU32(value, where);
-    else if (field == "lsq_step")
-        part.lsqStep = needU32(value, where);
-    else if (field == "min_section")
-        part.minSection = needU32(value, where);
-    else if (field == "min_lsq_section")
-        part.minLsqSection = needU32(value, where);
-    else if (field == "initial_critical_frac")
-        part.initialCriticalFrac = needNumber(value, where);
-    else
-        return false;
-    return true;
-}
-
-bool
-applyFillBufferOverride(cdf::FillBufferConfig &fb,
-                        const std::string &field, const Json &value,
-                        const std::string &where)
-{
-    if (field == "capacity")
-        fb.capacity = needU32(value, where);
-    else if (field == "refill_interval_instrs")
-        fb.refillIntervalInstrs = needUint(value, where);
-    else if (field == "min_density")
-        fb.minDensity = needNumber(value, where);
-    else if (field == "max_density")
-        fb.maxDensity = needNumber(value, where);
-    else if (field == "use_mask_cache")
-        fb.useMaskCache = needBool(value, where);
-    else
-        return false;
-    return true;
-}
-
-/** Strip @p prefix from @p key into @p rest. */
-bool
-splitPrefix(const std::string &key, const char *prefix,
-            std::string &rest)
-{
-    const std::size_t n = std::strlen(prefix);
-    if (key.size() <= n || key.compare(0, n, prefix) != 0 ||
-        key[n] != '.')
-        return false;
-    rest = key.substr(n + 1);
-    return true;
+    if constexpr (std::is_same_v<T, bool>) {
+        field = needBool(value, where);
+    } else if constexpr (std::is_same_v<T, double>) {
+        field = needNumber(value, where);
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        field = needU32(value, where);
+    } else if constexpr (std::is_integral_v<T>) {
+        static_assert(std::is_unsigned_v<T> && sizeof(T) == 8,
+                      "config integers are unsigned, 32 or 64 bits");
+        field = needUint(value, where);
+    } else {
+        specError(where, "config key '" + key +
+                             "' is not overridable (only boolean "
+                             "and numeric fields are)");
+    }
 }
 
 } // namespace
@@ -193,123 +136,62 @@ void
 applyConfigOverride(ooo::CoreConfig &config, const std::string &key,
                     const Json &value, const std::string &where)
 {
-    std::string rest;
-
-    // Core-level knobs.
     if (key == "scale_window") {
+        double factor = 0.0;
         if (value.type() != Json::Type::String) {
-            config.scaleWindow(needNumber(value, where));
-            return;
-        }
-        if (value.asString() != "cdf_area_equivalent")
+            factor = needNumber(value, where);
+        } else if (value.asString() == "cdf_area_equivalent") {
+            // Grow the window by CDF's structure area: the baseline
+            // a CDF core's extra silicon would otherwise buy
+            // (Fig. 17).
+            const double cdfAreaFrac = energy::Model::cdfArea(config) /
+                                       energy::Model::coreArea(config);
+            factor = 1.0 + cdfAreaFrac * 4.0;
+        } else {
             specError(where, "unknown scale_window '" +
                                  value.asString() +
                                  "' (want a number or "
                                  "\"cdf_area_equivalent\")");
-        // Grow the window by CDF's structure area: the baseline a
-        // CDF core's extra silicon would otherwise buy (Fig. 17).
-        const double cdfAreaFrac = energy::Model::cdfArea(config) /
-                                   energy::Model::coreArea(config);
-        config.scaleWindow(1.0 + cdfAreaFrac * 4.0);
-        return;
-    }
-    if (key == "observe_criticality") {
-        config.observeCriticality = needBool(value, where);
+        }
+        if (!config.scaleWindow(factor)) {
+            std::ostringstream msg;
+            msg << "scale_window " << factor
+                << " scales a window structure outside [1, 2^32-1]";
+            specError(where, msg.str());
+        }
         return;
     }
     if (key == "skip_idle_cycles") {
         config.skipIdleCycles = needBool(value, where);
         return;
     }
-    if (key == "width") {
-        config.width = needU32(value, where);
-        return;
-    }
-    if (key == "issue_width") {
-        config.issueWidth = needU32(value, where);
-        return;
-    }
-    if (key == "rob_size") {
-        config.robSize = needU32(value, where);
-        return;
-    }
-    if (key == "rs_size") {
-        config.rsSize = needU32(value, where);
-        return;
-    }
-    if (key == "lq_size") {
-        config.lqSize = needU32(value, where);
-        return;
-    }
-    if (key == "sq_size") {
-        config.sqSize = needU32(value, where);
-        return;
-    }
-    if (key == "phys_regs") {
-        config.physRegs = needU32(value, where);
-        return;
-    }
-    if (key == "frontend_depth") {
-        config.frontendDepth = needU32(value, where);
-        return;
-    }
-    if (key == "fetch_queue_size") {
-        config.fetchQueueSize = needU32(value, where);
-        return;
-    }
 
-    // CDF knobs.
-    if (key == "cdf.mark_critical_branches") {
-        config.cdf.markCriticalBranches = needBool(value, where);
-        return;
-    }
-    if (key == "cdf.density_switch_low") {
-        config.cdf.densitySwitchLow = needNumber(value, where);
-        return;
-    }
-    if (key == "cdf.density_switch_high") {
-        config.cdf.densitySwitchHigh = needNumber(value, where);
-        return;
-    }
-    if (key == "cdf.reentry_cooldown") {
-        config.cdf.reentryCooldown = needU32(value, where);
-        return;
-    }
-    if (key == "cdf.dbq_entries") {
-        config.cdf.dbqEntries = needU32(value, where);
-        return;
-    }
-    if (key == "cdf.cmq_entries") {
-        config.cdf.cmqEntries = needU32(value, where);
-        return;
-    }
-    if (splitPrefix(key, "cdf.load_table", rest)) {
-        if (applyTableOverride(config.cdf.loadTable, rest, value,
-                               where))
-            return;
-    } else if (splitPrefix(key, "cdf.branch_table", rest)) {
-        if (applyTableOverride(config.cdf.branchTable, rest, value,
-                               where))
-            return;
-    } else if (splitPrefix(key, "pre.stall_table", rest)) {
-        if (applyTableOverride(config.pre.stallTable, rest, value,
-                               where))
-            return;
-    } else if (splitPrefix(key, "cdf.partition", rest)) {
-        if (applyPartitionOverride(config.cdf.partition, rest, value,
-                                   where))
-            return;
-    } else if (splitPrefix(key, "cdf.fill_buffer", rest)) {
-        if (applyFillBufferOverride(config.cdf.fillBuffer, rest,
-                                    value, where))
-            return;
-    } else if (splitPrefix(key, "pre.fill_buffer", rest)) {
-        if (applyFillBufferOverride(config.pre.fillBuffer, rest,
-                                    value, where))
-            return;
-    }
+    bool found = false;
+    forEachField(config, [&](std::string_view path, auto &field) {
+        if (path == key) {
+            assignLeaf(field, key, value, where);
+            found = true;
+        }
+    });
+    if (!found)
+        specError(where, "unknown config override key '" + key + "'");
+}
 
-    specError(where, "unknown config override key '" + key + "'");
+Json
+overridableFields(const ooo::CoreConfig &config)
+{
+    ooo::CoreConfig walked = config;
+    Json out = Json::object();
+    forEachField(walked, [&](std::string_view path, auto &field) {
+        using T = std::remove_cvref_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool> ||
+                      std::is_same_v<T, double>)
+            out[std::string(path)] = Json(field);
+        else if constexpr (std::is_integral_v<T>)
+            out[std::string(path)] =
+                Json(static_cast<std::uint64_t>(field));
+    });
+    return out;
 }
 
 ooo::CoreMode

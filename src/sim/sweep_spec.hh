@@ -207,17 +207,28 @@ class SweepSpec
 };
 
 /**
- * Apply one dotted snake_case override (see the README schema table
- * for the key registry) to @p config. "scale_window" is an action:
- * it calls CoreConfig::scaleWindow with a number, or with the string
- * "cdf_area_equivalent" the factor that grows @p config's window by
- * CDF's structure area (1 + 4 * cdfArea / coreArea, the Fig. 17
- * area-equivalent baseline). Throws std::runtime_error prefixed with
- * @p where on unknown keys or type mismatches.
+ * Apply one override to @p config. @p key is the dotted path of a
+ * boolean or numeric leaf of CoreConfig's fields() visitor
+ * (`rob_size`, `cdf.load_table.strict_bits`, `mem.llc.ways`, ...;
+ * overridableFields() lists them), or one of two special keys.
+ * "skip_idle_cycles" sets the host-only knob of that name.
+ * "scale_window" is an action: it calls CoreConfig::scaleWindow
+ * with a number, or with the string "cdf_area_equivalent" the
+ * factor that grows @p config's window by CDF's structure area
+ * (1 + 4 * cdfArea / coreArea, the Fig. 17 area-equivalent
+ * baseline). Throws std::runtime_error prefixed with @p where on
+ * unknown or non-overridable keys, type mismatches and a factor
+ * that scales a structure outside [1, 2^32-1].
  */
 void applyConfigOverride(ooo::CoreConfig &config,
                          const std::string &key, const Json &value,
                          const std::string &where);
+
+/**
+ * Every leaf applyConfigOverride() accepts, except the two special
+ * keys, mapped to its value in @p config, in declaration order.
+ */
+Json overridableFields(const ooo::CoreConfig &config);
 
 /** Parse "baseline"/"cdf"/"pre"; throws naming @p where otherwise. */
 ooo::CoreMode parseCoreMode(const std::string &text,

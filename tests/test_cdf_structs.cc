@@ -107,6 +107,19 @@ TEST(CriticalCountTable, EvictsLruWithinSet)
     EXPECT_FALSE(t.isCritical(0x10)) << "LRU entry not evicted";
 }
 
+TEST(CriticalCountTable, ZeroWaysIsAConfigError)
+{
+    // A spec can set any geometry; zero ways must fail the cell, not
+    // divide by zero.
+    StatRegistry s;
+    CriticalTableConfig table;
+    table.ways = 0;
+    EXPECT_THROW(CriticalCountTable(table, s, "cct"), FatalError);
+    MaskCacheConfig mask;
+    mask.ways = 0;
+    EXPECT_THROW(MaskCache(mask, s), FatalError);
+}
+
 // --- MaskCache ---
 
 TEST(MaskCache, MergeAccumulatesAcrossPaths)

@@ -48,6 +48,16 @@ TEST(Cache, MissThenHit)
     EXPECT_EQ(s.get("c.misses"), 1u);
 }
 
+TEST(Cache, ZeroWaysIsAConfigError)
+{
+    // A spec can set any geometry; zero ways must fail the cell, not
+    // divide by zero.
+    StatRegistry s;
+    CacheConfig cfg = smallCache();
+    cfg.ways = 0;
+    EXPECT_THROW(Cache(cfg, s), FatalError);
+}
+
 TEST(Cache, HitUnderFillReturnsFillTime)
 {
     StatRegistry s;

@@ -16,6 +16,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "sim/snapshot.hh"
 #include "sim/sweep.hh"
@@ -31,6 +34,21 @@ configFor(ooo::CoreMode mode)
     ooo::CoreConfig config;
     config.mode = mode;
     return config;
+}
+
+/** Change config leaf @p x to a different value of its type. */
+template <typename T>
+void
+perturb(T &x)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        x = !x;
+    else if constexpr (std::is_same_v<T, std::string>)
+        x += "'";
+    else if constexpr (std::is_enum_v<T>)
+        x = static_cast<T>(static_cast<std::underlying_type_t<T>>(x) + 1);
+    else
+        x += 1;
 }
 
 /** Straight-through reference run. */
@@ -366,9 +384,31 @@ TEST(SnapshotKey, DistinguishesWarmupRelevantChanges)
                                 configFor(ooo::CoreMode::Baseline),
                                 spec));
 
-    ooo::CoreConfig bigger = base;
-    bigger.robSize += 32;
-    EXPECT_NE(k, sim::warmupKey("astar", bigger, spec));
+    // Every leaf CoreConfig's fields() visitor names is in the key:
+    // perturbing any one of them alone moves it.
+    std::size_t leaves = 0;
+    ooo::CoreConfig walked = base;
+    forEachField(walked, [&](std::string_view, auto &) { ++leaves; });
+    EXPECT_GT(leaves, 100u);
+    for (std::size_t i = 0; i < leaves; ++i) {
+        ooo::CoreConfig changed = base;
+        std::string path;
+        std::size_t at = 0;
+        forEachField(changed, [&](std::string_view p, auto &field) {
+            if (at++ == i) {
+                path = p;
+                perturb(field);
+            }
+        });
+        EXPECT_NE(k, sim::warmupKey("astar", changed, spec)) << path;
+    }
+
+    // The host-only knobs are not: a profiled or tick-by-tick run
+    // reuses the default run's checkpoint.
+    ooo::CoreConfig hostOnly = base;
+    hostOnly.skipIdleCycles = !hostOnly.skipIdleCycles;
+    hostOnly.profileStages = !hostOnly.profileStages;
+    EXPECT_EQ(k, sim::warmupKey("astar", hostOnly, spec));
 
     sim::RunSpec longer = spec;
     longer.warmupInstrs += 1;

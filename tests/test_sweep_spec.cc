@@ -3,8 +3,9 @@
  * Unit tests for sim::SweepSpec: deterministic expansion order
  * (groups -> axis combinations -> workloads -> variants), product vs
  * zipped axes, --workloads filter semantics, the config-override
- * registry, the derived block's aggregates and exclusion rule, and
- * the validation errors that must name the offending spec path.
+ * keys (CoreConfig field paths), the derived block's aggregates and
+ * exclusion rule, and the validation errors that must name the
+ * offending spec path.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -265,6 +267,29 @@ TEST(SweepSpec, AreaEquivalentScaleMatchesEnergyModel)
                 c, "scale_window", Json("huge"), "here");
         },
         "unknown scale_window 'huge'");
+}
+
+TEST(SweepSpec, ScaleWindowOutOfRangeIsRejected)
+{
+    // Each factor would scale some structure below 1 entry or past
+    // 2^32-1, where the cast to unsigned would wrap.
+    for (const auto &[factor, text] :
+         {std::pair{-1.0, "-1"}, {0.0, "0"}, {1e10, "1e+10"}}) {
+        const SweepSpec spec = specOf(
+            R"("groups": [{"workloads": ["astar"],
+                "variants": [{"name": "v", "mode": "cdf",
+                              "config": {"scale_window": )" +
+            Json(factor).dump() + "}}]}]");
+        expectSpecError([&] { spec.expand(CoreConfig{}); },
+                        "groups[0].variants[0].config.scale_window: "
+                        "scale_window " +
+                            std::string(text) +
+                            " scales a window structure outside "
+                            "[1, 2^32-1]");
+        CoreConfig direct;
+        EXPECT_FALSE(direct.scaleWindow(factor)) << text;
+        EXPECT_EQ(direct.robSize, CoreConfig{}.robSize) << text;
+    }
 }
 
 TEST(SweepSpec, WorkloadSetAndStarResolve)
@@ -524,6 +549,66 @@ TEST(SweepSpec, UnknownOverrideKeyIsRejectedAtExpand)
                       "config": {"cdf.no_such_knob": true}}]}])");
     expectSpecError([&] { spec.expand(CoreConfig{}); },
                     "groups[0].variants[0].config.cdf.no_such_knob");
+}
+
+TEST(SweepSpec, EveryConfigLeafIsAnOverrideKey)
+{
+    using cdfsim::sim::applyConfigOverride;
+    using cdfsim::sim::overridableFields;
+    const Json defaults = overridableFields(CoreConfig{});
+    // Keys from every sub-struct: memory, predictor, CDF, core.
+    for (const char *key : {"mem.llc.ways", "bp.tage.num_tables",
+                            "cdf.uop_cache.fill_latency",
+                            "deadlock_cycles"})
+        EXPECT_NE(defaults.find(key), nullptr) << key;
+
+    for (const auto &[key, value] : defaults.members()) {
+        Json bumped;
+        if (value.type() == Json::Type::Bool)
+            bumped = Json(!value.asBool());
+        else if (value.type() == Json::Type::Double)
+            bumped = Json(value.asNumber() + 0.25);
+        else
+            bumped = Json(value.asUint() + 1);
+        CoreConfig c;
+        applyConfigOverride(c, key, bumped, "here");
+        const Json after = overridableFields(c);
+        ASSERT_EQ(after.members().size(), defaults.members().size());
+        for (std::size_t i = 0; i < after.members().size(); ++i) {
+            const auto &[name, v] = after.members()[i];
+            const Json &want =
+                name == key ? bumped : defaults.members()[i].second;
+            EXPECT_EQ(v.dump(), want.dump())
+                << "override " << key << " -> " << name;
+        }
+    }
+}
+
+TEST(SweepSpec, NonOverridableConfigKeysNameThePath)
+{
+    const std::pair<const char *, Json> rejected[] = {
+        {"mode", Json("cdf")},              // the variant's "mode"
+        {"mem.l1i.name", Json("l1x")},      // string leaf
+        {"profile_stages", Json(true)},     // host-only, not a key
+        {"cdf.load_table.entires", Json(64u)}, // typo
+        {"cdf.load_table", Json(64u)},      // a struct, not a leaf
+    };
+    for (const auto &[key, value] : rejected) {
+        const SweepSpec spec = specOf(
+            std::string(R"("groups": [{"workloads": ["astar"],
+                "variants": [{"name": "v", "mode": "cdf",
+                              "config": {")") +
+            key + "\": " + value.dump() + "}}]}]");
+        expectSpecError([&] { spec.expand(CoreConfig{}); },
+                        std::string("groups[0].variants[0].config.") +
+                            key + ": ");
+    }
+
+    // The host-only skip_idle_cycles stays a special key.
+    CoreConfig c;
+    cdfsim::sim::applyConfigOverride(c, "skip_idle_cycles", Json(false),
+                                     "here");
+    EXPECT_FALSE(c.skipIdleCycles);
 }
 
 TEST(SweepSpec, OverrideTypeMismatchIsRejected)
