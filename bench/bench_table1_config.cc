@@ -8,6 +8,7 @@
  * model, so a config change anywhere in CoreConfig is diffable.
  */
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -34,10 +35,10 @@ main(int argc, char **argv)
     std::printf("            %u-entry Load & %u-entry Store Queues, "
                 "%u physical registers\n",
                 c.lqSize, c.sqSize, c.physRegs);
-    std::printf("Caches      %lluKB %u-way L1 I-cache & D-cache, "
+    std::printf("Caches      %" PRIu64 "KB %u-way L1 I-cache & D-cache, "
                 "%u-cycle access\n",
                 m.l1i.sizeBytes / 1024, m.l1i.ways, m.l1i.latency);
-    std::printf("            %lluMB %u-way LLC, %u-cycle access, "
+    std::printf("            %" PRIu64 "MB %u-way LLC, %u-cycle access, "
                 "64B lines\n",
                 m.llc.sizeBytes / (1024 * 1024), m.llc.ways,
                 m.llc.latency);

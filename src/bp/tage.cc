@@ -10,8 +10,42 @@
 namespace cdfsim::bp
 {
 
+namespace
+{
+
+/**
+ * @p c, once every geometry knob is in range: the log2 sizes feed
+ * shifts and allocations, the widths fit the entry fields, and the
+ * history lengths fit the History bitset. Each knob is a spec key,
+ * so a bad value is a config error naming it.
+ */
+const TageConfig &
+checked(const TageConfig &c)
+{
+    const auto inRange = [](const char *key, unsigned v, unsigned lo,
+                            unsigned hi) {
+        if (v < lo || v > hi) {
+            fatal("bp.tage.", key, " (", v, ") is outside [", lo, ", ",
+                  hi, "]");
+        }
+    };
+    inRange("num_tables", c.numTables, 1, kMaxTageTables);
+    inRange("table_bits_log2", c.tableBitsLog2, 1, 20);
+    inRange("tag_bits", c.tagBits, 1, 16);
+    inRange("counter_bits", c.counterBits, 1, 8);
+    inRange("useful_bits", c.usefulBits, 0, 8);
+    inRange("max_history", c.maxHistory, 1, History().size());
+    inRange("min_history", c.minHistory, 1, c.maxHistory);
+    inRange("bimodal_bits_log2", c.bimodalBitsLog2, 1, 24);
+    inRange("loop_entries", c.loopEntries, 1, kMaxLoopEntries);
+    inRange("sc_entries_log2", c.scEntriesLog2, 1, 20);
+    return c;
+}
+
+} // namespace
+
 Tage::Tage(const TageConfig &config, StatRegistry &stats)
-    : config_(config),
+    : config_(checked(config)),
       bimodal_(std::size_t{1} << config.bimodalBitsLog2, 2),
       loops_(config.loopEntries),
       scTable_(std::size_t{1} << config.scEntriesLog2, 0),
@@ -19,9 +53,6 @@ Tage::Tage(const TageConfig &config, StatRegistry &stats)
       scFlips_(stats.counter("tage.sc_flips")),
       loopPredictions_(stats.counter("tage.loop_predictions"))
 {
-    SIM_ASSERT(config_.numTables >= 1 &&
-                   config_.numTables <= kMaxTageTables,
-               "bad TAGE table count");
     // Geometric history length series between min and max.
     histLengths_.resize(config_.numTables);
     const double ratio =
@@ -40,8 +71,6 @@ Tage::Tage(const TageConfig &config, StatRegistry &stats)
                    std::vector<TaggedEntry>(std::size_t{1}
                                             << config_.tableBitsLog2));
 
-    SIM_ASSERT(config_.loopEntries <= kMaxLoopEntries,
-               "loop table exceeds the fixed checkpoint copy");
     for (unsigned t = 0; t < config_.numTables; ++t) {
         folds_[3 * t].configure(histLengths_[t],
                                 config_.tableBitsLog2);

@@ -21,8 +21,10 @@ SectionPartition::SectionPartition(const std::string &name,
       grows_(stats.counter(name + ".partition_grows")),
       shrinks_(stats.counter(name + ".partition_shrinks"))
 {
-    SIM_ASSERT(totalEntries > 2 * minSection_,
+    SIM_ASSERT(totalEntries > 2 * std::uint64_t{minSection_},
                "structure too small to partition");
+    SIM_ASSERT(initialCriticalFrac >= 0.0 && initialCriticalFrac <= 1.0,
+               "initial critical fraction outside [0, 1]");
     initialCritCap_ = std::clamp<unsigned>(
         static_cast<unsigned>(totalEntries * initialCriticalFrac),
         minSection_, totalEntries - minSection_);
@@ -30,16 +32,7 @@ SectionPartition::SectionPartition(const std::string &name,
 }
 
 void
-SectionPartition::noteStall(bool criticalSection)
-{
-    if (criticalSection)
-        ++critStalls_;
-    else
-        ++nonCritStalls_;
-}
-
-void
-SectionPartition::noteStallN(bool criticalSection, std::uint64_t n)
+SectionPartition::noteStall(bool criticalSection, std::uint64_t n)
 {
     if (criticalSection)
         critStalls_ += n;

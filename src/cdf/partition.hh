@@ -63,11 +63,8 @@ class SectionPartition
     unsigned nonCriticalCap() const { return total_ - critCap_; }
     unsigned total() const { return total_; }
 
-    /** Record one stall cycle charged to a section being full. */
-    void noteStall(bool criticalSection);
-
-    /** Bulk form of noteStall: @p n identically-charged cycles. */
-    void noteStallN(bool criticalSection, std::uint64_t n);
+    /** Record @p n stall cycles charged to a section being full. */
+    void noteStall(bool criticalSection, std::uint64_t n = 1);
 
     /**
      * Evaluate the counters and resize if warranted. @p critOcc and

@@ -84,15 +84,26 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
 
     if (config_.mode == CoreMode::Cdf) {
         const auto &p = config_.cdf.partition;
-        robPart_ = std::make_unique<cdf::SectionPartition>(
-            "rob", config_.robSize, p.robStep, p.minSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
-        lqPart_ = std::make_unique<cdf::SectionPartition>(
-            "lq", config_.lqSize, p.lsqStep, p.minLsqSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
-        sqPart_ = std::make_unique<cdf::SectionPartition>(
-            "sq", config_.sqSize, p.lsqStep, p.minLsqSection,
-            p.stallThreshold, p.dynamic, p.initialCriticalFrac, stats_);
+        const double frac = p.initialCriticalFrac;
+        if (!(frac >= 0.0 && frac <= 1.0)) {
+            fatal("cdf.partition.initial_critical_frac (", frac,
+                  ") is outside [0, 1]");
+        }
+        static constexpr const char *kNames[] = {"rob", "lq", "sq"};
+        for (const Section s : kSections) {
+            const bool isRob = s == kRob;
+            const unsigned size = window(s).size();
+            const unsigned minSec = isRob ? p.minSection : p.minLsqSection;
+            if (size <= 2 * std::uint64_t{minSec}) {
+                fatal("cdf.partition.",
+                      isRob ? "min_section" : "min_lsq_section", " (",
+                      minSec, ") leaves no room to partition the ", size,
+                      "-entry ", kNames[s]);
+            }
+            parts_[s] = std::make_unique<cdf::SectionPartition>(
+                kNames[s], size, isRob ? p.robStep : p.lsqStep, minSec,
+                p.stallThreshold, p.dynamic, frac, stats_);
+        }
         dbq_ = std::make_unique<cdf::DelayedBranchQueue>(
             config_.cdf.dbqEntries);
         cmq_ = std::make_unique<cdf::CriticalMapQueue>(
@@ -118,6 +129,18 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
 }
 
 Core::~Core() = default;
+
+SectionQueue &
+Core::window(Section s)
+{
+    return s == kRob ? rob_ : s == kLq ? lsq_.lq() : lsq_.sq();
+}
+
+const SectionQueue &
+Core::window(Section s) const
+{
+    return s == kRob ? rob_ : s == kLq ? lsq_.lq() : lsq_.sq();
+}
 
 // ---------------------------------------------------------------------
 // Instruction lifecycle
@@ -564,22 +587,19 @@ Core::statsStage()
     // their instructions retire (Section 3.6). Pending critical
     // uops in critQ_ still need slots, so release only once the
     // critical frontend has drained.
-    if (!cdfMode_ && robPart_ && rob_.criticalCap() > 0 &&
+    if (!cdfMode_ && parts_[kRob] && rob_.criticalCap() > 0 &&
         critQ_.empty()) {
         releasePartitionCaps();
     }
 
     // Dynamic partition evaluation (Section 3.5).
-    if (cdfMode_ && robPart_) {
-        robPart_->evaluate(
-            static_cast<unsigned>(rob_.criticalOccupancy()),
-            static_cast<unsigned>(rob_.nonCriticalOccupancy()));
-        lqPart_->evaluate(
-            static_cast<unsigned>(lsq_.lq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.lq().nonCriticalOccupancy()));
-        sqPart_->evaluate(
-            static_cast<unsigned>(lsq_.sq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.sq().nonCriticalOccupancy()));
+    if (cdfMode_ && parts_[kRob]) {
+        for (const Section s : kSections) {
+            const SectionQueue &q = window(s);
+            parts_[s]->evaluate(
+                static_cast<unsigned>(q.criticalOccupancy()),
+                static_cast<unsigned>(q.nonCriticalOccupancy()));
+        }
         applyPartitionCaps();
     }
 }

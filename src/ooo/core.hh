@@ -41,7 +41,7 @@
 #include "ooo/dyn_inst.hh"
 #include "ooo/lsq.hh"
 #include "ooo/rename.hh"
-#include "ooo/rob.hh"
+#include "ooo/section_queue.hh"
 #include "ooo/rs.hh"
 
 namespace cdfsim::ooo
@@ -341,27 +341,53 @@ class Core
      */
     bool maybeSkipIdleCycles(Cycle maxCycles);
 
-    /** What a blocked rename stage charges each stalled cycle. */
-    enum class RenameStallKind : unsigned char
+    /**
+     * The three partitioned window structures (paper Section 3.5),
+     * each a SectionQueue with its own SectionPartition.
+     */
+    enum Section : unsigned char
     {
-        Progress, //!< rename would advance: not quiescent
-        Quiet,    //!< blocked with no per-cycle counter side effect
-        RobNote,  //!< blocked charging robPart_->noteStall(false)
-        LqNote,   //!< blocked charging lqPart_->noteStall(false)
-        SqNote,   //!< blocked charging sqPart_->noteStall(false)
+        kRob,
+        kLq,
+        kSq,
+        kNumSections
     };
-    RenameStallKind classifyRenameStall(Cycle &bound) const;
+    static constexpr Section kSections[] = {kRob, kLq, kSq};
+    SectionQueue &window(Section s);
+    const SectionQueue &window(Section s) const;
 
-    /** Same idea for the critical rename stage (renameCritical). */
-    enum class CritRenameStallKind : unsigned char
+    /**
+     * What a rename stream does this cycle: progress, stay blocked
+     * with no counter side effect, or stay blocked charging one
+     * stall to the partition of the section it names (Rob/Lq/Sq
+     * share their Section's value).
+     */
+    enum class RenameGate : unsigned char
     {
-        Progress,    //!< would rename or copy the critical RAT
-        Quiet,       //!< blocked with no counter side effect
-        CritRobNote, //!< blocked charging robPart_->noteStall(true)
-        CritLqNote,  //!< blocked charging lqPart_->noteStall(true)
-        CritSqNote,  //!< blocked charging sqPart_->noteStall(true)
+        Rob = kRob,
+        Lq = kLq,
+        Sq = kSq,
+        Quiet,
+        Progress,
     };
-    CritRenameStallKind classifyCritRenameStall(Cycle &bound) const;
+
+    /**
+     * The rename checks of one stream, in order, without their side
+     * effects: rename acts on the verdict, and idle-skip classifies
+     * quiescent cycles with it. When the front uop is not yet
+     * through the frontend pipe, @p bound is lowered to its
+     * readyAtRename.
+     */
+    RenameGate regularRenameGate(Cycle &bound) const;
+    RenameGate criticalRenameGate(Cycle &bound) const;
+
+    /** Charge @p n stall cycles of @p g to its section's partition
+     *  (no-op for Progress/Quiet or when the core has none). */
+    void chargeRenameStall(RenameGate g, bool critical, std::uint64_t n);
+
+    /** The retire stage's per-cycle full-window-stall test, which
+     *  idle-skip replays and PRE entry keys on. */
+    bool windowStalled() const;
 
     Cycle nextEventCycle();
     void bulkAccountSkippedCycles(std::uint64_t n);
@@ -371,7 +397,7 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(129);
+    SIM_SNAPSHOT_FIELDS(127);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -385,7 +411,7 @@ class Core
     PhysRegFile prf_;
     RenameMap rat_;
     RenameMap critRat_;
-    Rob rob_;
+    SectionQueue rob_;
     Lsq lsq_;
     ReservationStations rs_;
 
@@ -466,9 +492,9 @@ class Core
     std::unique_ptr<cdf::MaskCache> maskCache_;
     std::unique_ptr<cdf::CriticalUopCache> uopCache_;
     std::unique_ptr<cdf::FillBuffer> fillBuffer_;
-    std::unique_ptr<cdf::SectionPartition> robPart_;
-    std::unique_ptr<cdf::SectionPartition> lqPart_;
-    std::unique_ptr<cdf::SectionPartition> sqPart_;
+    /** Partition controllers, indexed by Section (CDF mode only). */
+    std::array<std::unique_ptr<cdf::SectionPartition>, kNumSections>
+        parts_;
     std::unique_ptr<cdf::DelayedBranchQueue> dbq_;
     std::unique_ptr<cdf::CriticalMapQueue> cmq_;
 

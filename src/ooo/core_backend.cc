@@ -43,45 +43,96 @@ Core::renameStage()
     }
 }
 
+Core::RenameGate
+Core::criticalRenameGate(Cycle &bound) const
+{
+    if (critQ_.empty())
+        return RenameGate::Quiet;
+    const DynInst *inst = critQ_.front();
+    if (inst->readyAtRename > now_) {
+        bound = std::min(bound, inst->readyAtRename);
+        return RenameGate::Quiet;
+    }
+    // The critical RAT is a copy of the regular RAT taken after the
+    // last pre-CDF instruction renamed (Section 3.4). Taking it is a
+    // side effect, so that cycle counts as progress; rename takes
+    // the copy and asks again.
+    if (!critRatCopied_) {
+        return regRenamedThroughTs_ >= cdfStartTs_ ? RenameGate::Progress
+                                                   : RenameGate::Quiet;
+    }
+    if (!prf_.hasFree())
+        return RenameGate::Quiet;
+    // The RS split follows the ROB's, so a full critical RS charges
+    // the ROB partition.
+    if (!rob_.canInsert(true) || !rs_.canInsert(true))
+        return RenameGate::Rob;
+    if (inst->isLoad() && !lsq_.lq().canInsert(true))
+        return RenameGate::Lq;
+    if (inst->isStore() && !lsq_.sq().canInsert(true))
+        return RenameGate::Sq;
+    if (cmq_->full())
+        return RenameGate::Quiet;
+    return RenameGate::Progress;
+}
+
+Core::RenameGate
+Core::regularRenameGate(Cycle &bound) const
+{
+    if (frontQ_.empty())
+        return RenameGate::Quiet;
+    const DynInst *inst = frontQ_.front();
+    if (inst->readyAtRename > now_) {
+        bound = std::min(bound, inst->readyAtRename);
+        return RenameGate::Quiet;
+    }
+    // A critical uop in the regular stream waits only for the
+    // critical stream's rename of it (its CMQ entry at the front);
+    // the replay needs no window resources.
+    if (inst->cdfFetched && inst->critical) {
+        return !cmq_->empty() && cmq_->front().ts == inst->ts
+                   ? RenameGate::Progress
+                   : RenameGate::Quiet;
+    }
+    if (!prf_.hasFree())
+        return RenameGate::Quiet;
+    if (!rob_.canInsert(false))
+        return RenameGate::Rob;
+    if (!rs_.canInsert(false))
+        return RenameGate::Quiet;
+    if (inst->isLoad() && !lsq_.lq().canInsert(false))
+        return RenameGate::Lq;
+    if (inst->isStore() && !lsq_.sq().canInsert(false))
+        return RenameGate::Sq;
+    return RenameGate::Progress;
+}
+
+void
+Core::chargeRenameStall(RenameGate g, bool critical, std::uint64_t n)
+{
+    const auto s = static_cast<unsigned>(g);
+    if (s < kNumSections && parts_[s])
+        parts_[s]->noteStall(critical, n);
+}
+
 void
 Core::renameCritical(unsigned &slots)
 {
-    while (slots > 0 && !critQ_.empty()) {
-        DynInst *inst = critQ_.front();
-        if (inst->readyAtRename > now_)
+    while (slots > 0) {
+        Cycle unusedBound = kNeverCycle;
+        const RenameGate gate = criticalRenameGate(unusedBound);
+        if (gate != RenameGate::Progress) {
+            chargeRenameStall(gate, true, 1);
             return;
-
-        // The critical RAT is a copy of the regular RAT taken after
-        // the last pre-CDF instruction renamed (Section 3.4).
+        }
         if (!critRatCopied_) {
-            if (regRenamedThroughTs_ < cdfStartTs_)
-                return;
             critRat_.copyFrom(rat_);
             rat_.clearAllPoison();
             critRatCopied_ = true;
+            continue; // the gate again, against the copied RAT
         }
 
-        if (!prf_.hasFree())
-            return;
-        if (!rob_.canInsert(true)) {
-            robPart_->noteStall(true);
-            return;
-        }
-        if (!rs_.canInsert(true)) {
-            robPart_->noteStall(true);
-            return;
-        }
-        if (inst->isLoad() && !lsq_.lq().canInsert(true)) {
-            lqPart_->noteStall(true);
-            return;
-        }
-        if (inst->isStore() && !lsq_.sq().canInsert(true)) {
-            sqPart_->noteStall(true);
-            return;
-        }
-        if (cmq_->full())
-            return;
-
+        DynInst *inst = critQ_.front();
         RenameResult rr = critRat_.rename(inst->uop, prf_);
         inst->physSrc1 = rr.physSrc1;
         inst->physSrc2 = rr.physSrc2;
@@ -115,20 +166,19 @@ Core::renameCritical(unsigned &slots)
 bool
 Core::renameRegularOne()
 {
-    if (frontQ_.empty())
+    Cycle unusedBound = kNeverCycle;
+    const RenameGate gate = regularRenameGate(unusedBound);
+    if (gate != RenameGate::Progress) {
+        chargeRenameStall(gate, false, 1);
         return false;
+    }
     DynInst *inst = frontQ_.front();
-    if (inst->readyAtRename > now_)
-        return false;
 
     // CDF: critical uops in the regular stream replay the rename
     // performed in the critical stream and are then discarded
     // (Section 3.4); the poison-bit check detects dependence
     // violations (Section 3.6).
     if (inst->cdfFetched && inst->critical) {
-        if (cmq_->empty() || cmq_->front().ts != inst->ts)
-            return false; // critical rename has not produced it yet
-
         if (rat_.readsPoisoned(inst->uop)) {
             pendingDepViolationTs_ = inst->ts;
             return false;
@@ -161,26 +211,6 @@ Core::renameRegularOne()
     }
 
     // Regular rename path (baseline, PRE, and non-critical CDF uops).
-    if (!prf_.hasFree())
-        return false;
-    if (!rob_.canInsert(false)) {
-        if (robPart_)
-            robPart_->noteStall(false);
-        return false;
-    }
-    if (!rs_.canInsert(false))
-        return false;
-    if (inst->isLoad() && !lsq_.lq().canInsert(false)) {
-        if (lqPart_)
-            lqPart_->noteStall(false);
-        return false;
-    }
-    if (inst->isStore() && !lsq_.sq().canInsert(false)) {
-        if (sqPart_)
-            sqPart_->noteStall(false);
-        return false;
-    }
-
     RenameResult rr = rat_.rename(inst->uop, prf_);
     inst->physSrc1 = rr.physSrc1;
     inst->physSrc2 = rr.physSrc2;
@@ -467,7 +497,7 @@ Core::retireStage()
             mem_.dataAccess(h->memAddr, mem::AccessKind::DemandStore,
                             now_);
         }
-        rob_.popHead();
+        rob_.retire(h);
 
         if (h->renamedRegular && h->oldPhysDst != kInvalidReg)
             prf_.release(h->oldPhysDst);
@@ -492,27 +522,17 @@ Core::retireStage()
     if ((retiredInstrs_ & 0xFFF) == 0 && retiredInstrs_ > 0)
         oracle_.releaseBelow(nextRetireTs_);
 
-    // Full-window-stall classification: the window is stalled when
-    // the ROB cannot accept new instructions and the oldest
-    // instruction is an outstanding load miss.
-    DynInst *h = rob_.head();
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    if (robFull && h && h->state != InstState::Completed) {
+    if (windowStalled()) {
+        DynInst *h = rob_.head();
         ++fullWindowStallCycles_;
         if (config_.observeCriticality) {
             std::uint64_t crit = 0;
             std::uint64_t total = 0;
-            for (const auto *q :
-                 {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
-                for (const DynInst *i : *q) {
-                    ++total;
-                    if (i->critical)
-                        ++crit;
-                }
-            }
+            rob_.forEach([&](const DynInst *i) {
+                ++total;
+                if (i->critical)
+                    ++crit;
+            });
             if (total > 0) {
                 fig1CriticalFrac_.add(static_cast<double>(crit) /
                                       static_cast<double>(total));
@@ -525,6 +545,20 @@ Core::retireStage()
     } else {
         stallCounting_ = false;
     }
+}
+
+bool
+Core::windowStalled() const
+{
+    // The ROB is full, or the next regular uop is ready to rename
+    // and its non-critical section has no room, while the oldest
+    // instruction is still outstanding.
+    const DynInst *h = rob_.head();
+    const bool robFull =
+        rob_.occupancy() >= rob_.size() ||
+        (!rob_.canInsert(false) && !frontQ_.empty() &&
+         frontQ_.front()->readyAtRename <= now_);
+    return robFull && h && h->state != InstState::Completed;
 }
 
 void
@@ -600,8 +634,9 @@ Core::squashYoungerThan(SeqNum flushTs)
         q->truncate(kept);
     }
     const std::size_t firstRenamed = squashed_.size();
-    const auto &crit = rob_.criticalSection();
-    const auto &nonCrit = rob_.nonCriticalSection();
+    const auto [critQ, nonCritQ] = rob_.sections();
+    const auto &crit = *critQ;
+    const auto &nonCrit = *nonCritQ;
     for (std::size_t c = crit.size(), n = nonCrit.size();;) {
         const bool critDoomed = c > 0 && crit[c - 1]->ts > flushTs;
         const bool nonCritDoomed = n > 0 && nonCrit[n - 1]->ts > flushTs;
@@ -925,8 +960,9 @@ Core::auditBpCheckpoints() const
 void
 Core::auditLsqRobAge() const
 {
-    rob_.auditAgeOrder();
-    lsq_.auditAgeOrder();
+    rob_.auditAgeOrder("ROB");
+    lsq_.lq().auditAgeOrder("LQ");
+    lsq_.sq().auditAgeOrder("SQ");
 
     // Every resident entry must still be live in the slab pool; a
     // stale pointer here means a double destroy or a missed squash.
@@ -936,19 +972,15 @@ Core::auditLsqRobAge() const
                    " entry ts ", inst->ts,
                    " is not live in the slab pool");
     };
-    for (const auto *q :
-         {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
-        for (const DynInst *inst : *q)
-            checkAlive(inst, "ROB");
-    }
+    rob_.forEach([&](const DynInst *inst) { checkAlive(inst, "ROB"); });
 
     // Loads and stores leave the LSQ no later than the ROB (retire
     // pops both, flushes truncate both by timestamp), so every LSQ
-    // entry must also be ROB-resident. Both ROB sections are
-    // timestamp-sorted, so membership is two binary searches.
+    // entry must also be ROB-resident, and of its queue's kind. Both
+    // ROB sections are timestamp-sorted, so membership is two binary
+    // searches.
     const auto inRob = [this](const DynInst *inst) {
-        for (const auto *q :
-             {&rob_.criticalSection(), &rob_.nonCriticalSection()}) {
+        for (const auto *q : rob_.sections()) {
             const auto it = std::lower_bound(
                 q->begin(), q->end(), inst->ts,
                 [](const DynInst *e, SeqNum ts) { return e->ts < ts; });
@@ -957,15 +989,19 @@ Core::auditLsqRobAge() const
         }
         return false;
     };
-    const auto checkQueue = [&](const MemQueue &mq, const char *what) {
+    const auto checkQueue = [&](const SectionQueue &mq, const char *what,
+                                bool loads) {
         mq.forEach([&](DynInst *inst) {
             checkAlive(inst, what);
+            SIM_ASSERT(loads ? inst->isLoad() : inst->isStore(),
+                       loads ? "non-load" : "non-store", " in the ",
+                       what);
             SIM_ASSERT(inRob(inst), what, " entry ts ", inst->ts,
                        " is not resident in the ROB");
         });
     };
-    checkQueue(lsq_.lq(), "LQ");
-    checkQueue(lsq_.sq(), "SQ");
+    checkQueue(lsq_.lq(), "LQ", true);
+    checkQueue(lsq_.sq(), "SQ", false);
 }
 
 } // namespace cdfsim::ooo

@@ -22,16 +22,15 @@ namespace cdfsim::ooo
 void
 Core::applyPartitionCaps()
 {
-    if (!robPart_)
+    if (!parts_[kRob])
         return;
-    rob_.setCriticalCap(robPart_->criticalCap());
-    lsq_.lq().setCriticalCap(lqPart_->criticalCap());
-    lsq_.sq().setCriticalCap(sqPart_->criticalCap());
+    for (const Section s : kSections)
+        window(s).setCriticalCap(parts_[s]->criticalCap());
     // RS and PRF critical budgets scale with the ROB split
     // (Section 3.5).
     const unsigned rsCap = static_cast<unsigned>(
         static_cast<std::uint64_t>(config_.rsSize) *
-        robPart_->criticalCap() / config_.robSize);
+        parts_[kRob]->criticalCap() / config_.robSize);
     rs_.setCriticalCap(std::max(rsCap, 4u));
 }
 
@@ -41,12 +40,10 @@ Core::releasePartitionCaps()
     // Gradual release: cap shrinks to current occupancy so pending
     // critical instructions drain, then to zero (Section 3.6,
     // "Exiting CDF mode").
-    rob_.setCriticalCap(
-        static_cast<unsigned>(rob_.criticalOccupancy()));
-    lsq_.lq().setCriticalCap(
-        static_cast<unsigned>(lsq_.lq().criticalOccupancy()));
-    lsq_.sq().setCriticalCap(
-        static_cast<unsigned>(lsq_.sq().criticalOccupancy()));
+    for (const Section s : kSections) {
+        SectionQueue &q = window(s);
+        q.setCriticalCap(static_cast<unsigned>(q.criticalOccupancy()));
+    }
     rs_.setCriticalCap(
         static_cast<unsigned>(rs_.criticalOccupancy()));
 }

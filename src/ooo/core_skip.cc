@@ -18,7 +18,7 @@
  *     CycleCountRing event — RunningMean::addRepeated is exact for
  *     integral values),
  *   - the partition stall counter a blocked rename charges
- *     (SectionPartition::noteStallN).
+ *     (SectionPartition::noteStall).
  *
  * Everything else is shown frozen: the completion heap's earliest
  * entry, the RS wakeup cache's lower bound (rsNextTry; parked
@@ -40,96 +40,6 @@
 
 namespace cdfsim::ooo
 {
-
-/**
- * Classify what the rename stage would do this cycle without doing
- * it: replicates renameRegularOne()'s check order exactly (the while
- * loop in renameStage() breaks on the first false return, so at most
- * one classification — and one noteStall — happens per cycle). When
- * the front uop is not yet through the frontend pipe, @p bound is
- * lowered to its readyAtRename; every other input is frozen while
- * the core is quiescent, so the classification holds for the whole
- * window. Requires renameCritical() to be a no-op — the caller
- * checks classifyCritRenameStall() — which freezes the CMQ.
- */
-Core::RenameStallKind
-Core::classifyRenameStall(Cycle &bound) const
-{
-    if (frontQ_.empty())
-        return RenameStallKind::Quiet;
-    const DynInst *inst = frontQ_.front();
-    if (inst->readyAtRename > now_) {
-        bound = std::min(bound, inst->readyAtRename);
-        return RenameStallKind::Quiet;
-    }
-
-    // CDF replay front: blocked only while the critical stream has
-    // not produced the matching CMQ entry (that check precedes the
-    // poison probe, so the blocked path has no side effects). With
-    // critQ_ empty the CMQ cannot gain entries, so a match means
-    // rename would advance.
-    if (inst->cdfFetched && inst->critical) {
-        if (cmq_->empty() || cmq_->front().ts != inst->ts)
-            return RenameStallKind::Quiet;
-        return RenameStallKind::Progress;
-    }
-
-    if (!prf_.hasFree())
-        return RenameStallKind::Quiet;
-    if (!rob_.canInsert(false))
-        return robPart_ ? RenameStallKind::RobNote
-                        : RenameStallKind::Quiet;
-    if (!rs_.canInsert(false))
-        return RenameStallKind::Quiet;
-    if (inst->isLoad() && !lsq_.lq().canInsert(false))
-        return lqPart_ ? RenameStallKind::LqNote
-                       : RenameStallKind::Quiet;
-    if (inst->isStore() && !lsq_.sq().canInsert(false))
-        return sqPart_ ? RenameStallKind::SqNote
-                       : RenameStallKind::Quiet;
-    return RenameStallKind::Progress;
-}
-
-/**
- * Classify what renameCritical() would do this cycle without doing
- * it, replicating its check order exactly (the while loop pops at
- * most zero entries when blocked, and charges at most one noteStall
- * per cycle). Only meaningful when config_.mode == Cdf — the only
- * mode whose renameStage calls renameCritical().
- */
-Core::CritRenameStallKind
-Core::classifyCritRenameStall(Cycle &bound) const
-{
-    if (critQ_.empty())
-        return CritRenameStallKind::Quiet;
-    const DynInst *inst = critQ_.front();
-    if (inst->readyAtRename > now_) {
-        bound = std::min(bound, inst->readyAtRename);
-        return CritRenameStallKind::Quiet;
-    }
-    if (!critRatCopied_) {
-        // Copying the critical RAT (and clearing poison) is a side
-        // effect; it unblocks the cycle regular rename passes the
-        // episode start, which the caller separately proves cannot
-        // happen inside the window.
-        return regRenamedThroughTs_ >= cdfStartTs_
-                   ? CritRenameStallKind::Progress
-                   : CritRenameStallKind::Quiet;
-    }
-    if (!prf_.hasFree())
-        return CritRenameStallKind::Quiet;
-    if (!rob_.canInsert(true))
-        return CritRenameStallKind::CritRobNote;
-    if (!rs_.canInsert(true))
-        return CritRenameStallKind::CritRobNote; // RS shares the charge
-    if (inst->isLoad() && !lsq_.lq().canInsert(true))
-        return CritRenameStallKind::CritLqNote;
-    if (inst->isStore() && !lsq_.sq().canInsert(true))
-        return CritRenameStallKind::CritSqNote;
-    if (cmq_->full())
-        return CritRenameStallKind::Quiet;
-    return CritRenameStallKind::Progress;
-}
 
 /**
  * First cycle strictly after now_ whose tick can do anything beyond
@@ -159,7 +69,7 @@ Core::nextEventCycle()
     // Post-episode partition release runs every cycle while the
     // critical cap drains; let it. (In CDF mode the caps are live
     // and handled by the partition bound below.)
-    if (!cdfMode_ && robPart_ && rob_.criticalCap() > 0)
+    if (!cdfMode_ && parts_[kRob] && rob_.criticalCap() > 0)
         return tickNext;
 
     Cycle bound = kNeverCycle;
@@ -180,16 +90,19 @@ Core::nextEventCycle()
         return tickNext;
 
     // Rename: blocked, with a window-constant (at most one) stall
-    // counter charge per stream.
-    const RenameStallKind regKind = classifyRenameStall(bound);
-    if (regKind == RenameStallKind::Progress)
+    // counter charge per stream. renameStage() stops each stream at
+    // its first blocked check, and every input of the gates is
+    // frozen while the core is quiescent (the regular gate's CMQ
+    // too, since the critical stream is shown blocked), so one
+    // verdict per stream holds for the whole window.
+    const RenameGate regGate = regularRenameGate(bound);
+    if (regGate == RenameGate::Progress)
         return tickNext;
-    CritRenameStallKind critKind = CritRenameStallKind::Quiet;
-    if (config_.mode == CoreMode::Cdf) {
-        critKind = classifyCritRenameStall(bound);
-        if (critKind == CritRenameStallKind::Progress)
-            return tickNext;
-    }
+    const RenameGate critGate = config_.mode == CoreMode::Cdf
+                                    ? criticalRenameGate(bound)
+                                    : RenameGate::Quiet;
+    if (critGate == RenameGate::Progress)
+        return tickNext;
 
     // Fetch: stalled, permanently halted, or provably stuck. An
     // oracle-dry frontend re-latches fetchDoneHalt_ at the next
@@ -276,34 +189,16 @@ Core::nextEventCycle()
     // change canInsert() outcomes, so that cycle must be ticked.
     // Zero-resize threshold crossings only cycle the counters and
     // are replayed by SectionPartition::advanceCounters().
-    if (cdfMode_ && robPart_) {
-        const auto partitionBound = [&](cdf::SectionPartition &p,
-                                        bool chargeCrit,
-                                        bool chargeNonCrit,
-                                        std::size_t critOcc,
-                                        std::size_t nonCritOcc) {
-            const Cycle k = p.cyclesUntilCapChange(
-                chargeCrit, chargeNonCrit,
-                static_cast<unsigned>(critOcc),
-                static_cast<unsigned>(nonCritOcc));
+    if (cdfMode_ && parts_[kRob]) {
+        for (const Section s : kSections) {
+            const SectionQueue &q = window(s);
+            const Cycle k = parts_[s]->cyclesUntilCapChange(
+                critGate == RenameGate(s), regGate == RenameGate(s),
+                static_cast<unsigned>(q.criticalOccupancy()),
+                static_cast<unsigned>(q.nonCriticalOccupancy()));
             if (k != kNeverCycle)
                 bound = std::min(bound, now_ + k);
-        };
-        partitionBound(*robPart_,
-                       critKind == CritRenameStallKind::CritRobNote,
-                       regKind == RenameStallKind::RobNote,
-                       rob_.criticalOccupancy(),
-                       rob_.nonCriticalOccupancy());
-        partitionBound(*lqPart_,
-                       critKind == CritRenameStallKind::CritLqNote,
-                       regKind == RenameStallKind::LqNote,
-                       lsq_.lq().criticalOccupancy(),
-                       lsq_.lq().nonCriticalOccupancy());
-        partitionBound(*sqPart_,
-                       critKind == CritRenameStallKind::CritSqNote,
-                       regKind == RenameStallKind::SqNote,
-                       lsq_.sq().criticalOccupancy(),
-                       lsq_.sq().nonCriticalOccupancy());
+        }
     }
 
     // PRE entry controller: during a classified full-window stall on
@@ -313,14 +208,8 @@ Core::nextEventCycle()
     // either a frozen disqualifier keeps it out for the whole window
     // or the minimum-stall threshold passes — in which case entry
     // must happen on exactly that cycle.
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    const bool stallNow =
-        robFull && h && h->state != InstState::Completed;
-    if (stallNow && config_.mode == CoreMode::Pre && h->isLoad() &&
-        h->llcMiss) {
+    if (windowStalled() && config_.mode == CoreMode::Pre &&
+        h->isLoad() && h->llcMiss) {
         if (!stallCounting_)
             return tickNext; // first stalled cycle: side effects
         const bool disqualified =
@@ -370,12 +259,7 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
     // retireStage tail: full-window-stall classification. All inputs
     // are frozen (readyAtRename's comparison against the advancing
     // clock is window-constant because the jump is bounded by it).
-    const DynInst *h = rob_.head();
-    const bool robFull =
-        rob_.occupancy() >= config_.robSize ||
-        (!rob_.canInsert(false) && !frontQ_.empty() &&
-         frontQ_.front()->readyAtRename <= now_);
-    if (robFull && h && h->state != InstState::Completed)
+    if (windowStalled())
         fullWindowStallCycles_ += n;
     else
         stallCounting_ = false;
@@ -384,60 +268,25 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
     // stream), then — in CDF mode — statsStage's per-cycle
     // partition evaluate() replayed in closed form.
     Cycle unusedBound = kNeverCycle;
-    const RenameStallKind regKind = classifyRenameStall(unusedBound);
-    if (regKind == RenameStallKind::Progress)
+    const RenameGate regGate = regularRenameGate(unusedBound);
+    const RenameGate critGate = config_.mode == CoreMode::Cdf
+                                    ? criticalRenameGate(unusedBound)
+                                    : RenameGate::Quiet;
+    if (regGate == RenameGate::Progress ||
+        critGate == RenameGate::Progress)
         panic("bulk-accounting cycles while rename can progress");
-    CritRenameStallKind critKind = CritRenameStallKind::Quiet;
-    if (config_.mode == CoreMode::Cdf) {
-        critKind = classifyCritRenameStall(unusedBound);
-        if (critKind == CritRenameStallKind::Progress)
-            panic("bulk-accounting cycles while critical rename can "
-                  "progress");
-    }
 
-    if (cdfMode_ && robPart_) {
-        robPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritRobNote,
-            regKind == RenameStallKind::RobNote, n,
-            static_cast<unsigned>(rob_.criticalOccupancy()),
-            static_cast<unsigned>(rob_.nonCriticalOccupancy()));
-        lqPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritLqNote,
-            regKind == RenameStallKind::LqNote, n,
-            static_cast<unsigned>(lsq_.lq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.lq().nonCriticalOccupancy()));
-        sqPart_->advanceCounters(
-            critKind == CritRenameStallKind::CritSqNote,
-            regKind == RenameStallKind::SqNote, n,
-            static_cast<unsigned>(lsq_.sq().criticalOccupancy()),
-            static_cast<unsigned>(lsq_.sq().nonCriticalOccupancy()));
+    if (cdfMode_ && parts_[kRob]) {
+        for (const Section s : kSections) {
+            const SectionQueue &q = window(s);
+            parts_[s]->advanceCounters(
+                critGate == RenameGate(s), regGate == RenameGate(s), n,
+                static_cast<unsigned>(q.criticalOccupancy()),
+                static_cast<unsigned>(q.nonCriticalOccupancy()));
+        }
     } else {
-        switch (regKind) {
-        case RenameStallKind::RobNote:
-            robPart_->noteStallN(false, n);
-            break;
-        case RenameStallKind::LqNote:
-            lqPart_->noteStallN(false, n);
-            break;
-        case RenameStallKind::SqNote:
-            sqPart_->noteStallN(false, n);
-            break;
-        default:
-            break;
-        }
-        switch (critKind) {
-        case CritRenameStallKind::CritRobNote:
-            robPart_->noteStallN(true, n);
-            break;
-        case CritRenameStallKind::CritLqNote:
-            lqPart_->noteStallN(true, n);
-            break;
-        case CritRenameStallKind::CritSqNote:
-            sqPart_->noteStallN(true, n);
-            break;
-        default:
-            break;
-        }
+        chargeRenameStall(regGate, false, n);
+        chargeRenameStall(critGate, true, n);
     }
 }
 

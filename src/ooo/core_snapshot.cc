@@ -93,7 +93,8 @@ Core::fields(Ar &ar)
 
     // Backend containers (pool handles).
     rob_.fields(ar, inst);
-    lsq_.fields(ar, inst);
+    lsq_.lq().fields(ar, inst);
+    lsq_.sq().fields(ar, inst);
     rs_.fields(ar, inst);
 
     std::uint64_t numRegs = regWaiters_.size();
@@ -125,9 +126,11 @@ Core::fields(Ar &ar)
 
     // CDF components (presence echoes first, then contents).
     presence(ar, loadCct_, branchCct_, maskCache_, uopCache_,
-             fillBuffer_, robPart_, lqPart_, sqPart_, dbq_, cmq_);
+             fillBuffer_, parts_[kRob], parts_[kLq], parts_[kSq], dbq_,
+             cmq_);
     ifPresent(ar, loadCct_, branchCct_, maskCache_, uopCache_,
-              fillBuffer_, robPart_, lqPart_, sqPart_, dbq_, cmq_);
+              fillBuffer_, parts_[kRob], parts_[kLq], parts_[kSq], dbq_,
+              cmq_);
 
     // CDF scalars and queues.
     ar(cdfMode_, cdfDraining_, cdfCooldownUntil_, critRatCopied_,

@@ -12,150 +12,11 @@
 #define CDFSIM_OOO_LSQ_HH
 
 #include <algorithm>
-#include <array>
-#include <deque>
 
-#include "common/audit.hh"
-#include "common/logging.hh"
-#include "common/serialize.hh"
-#include "ooo/dyn_inst.hh"
+#include "ooo/section_queue.hh"
 
 namespace cdfsim::ooo
 {
-
-/** One partitioned queue (used for both the LQ and the SQ). */
-class MemQueue
-{
-  public:
-    explicit MemQueue(unsigned size) : size_(size), critCap_(0) {}
-
-    unsigned size() const { return size_; }
-    unsigned criticalCap() const { return critCap_; }
-
-    void
-    setCriticalCap(unsigned cap)
-    {
-        SIM_ASSERT(cap <= size_, "critical cap exceeds queue");
-        critCap_ = cap;
-    }
-
-    bool
-    canInsert(bool critical) const
-    {
-        if (critical)
-            return crit_.size() < critCap_;
-        return nonCrit_.size() < size_ - critCap_;
-    }
-
-    void
-    insert(DynInst *inst, bool critical)
-    {
-        SIM_ASSERT(canInsert(critical), "LSQ section overflow");
-        auto &q = critical ? crit_ : nonCrit_;
-        SIM_ASSERT(q.empty() || q.back()->ts < inst->ts,
-                   "LSQ section out of program order");
-        q.push_back(inst);
-    }
-
-    /** Remove a specific retiring instruction (it is a head). */
-    void
-    retire(DynInst *inst)
-    {
-        if (!crit_.empty() && crit_.front() == inst) {
-            crit_.pop_front();
-            return;
-        }
-        SIM_ASSERT(!nonCrit_.empty() && nonCrit_.front() == inst,
-                   "retiring instruction is not an LSQ head");
-        nonCrit_.pop_front();
-    }
-
-    unsigned
-    flushYounger(SeqNum flushTs)
-    {
-        unsigned dropped = 0;
-        for (auto *q : {&crit_, &nonCrit_}) {
-            while (!q->empty() && q->back()->ts > flushTs) {
-                q->pop_back();
-                ++dropped;
-            }
-        }
-        return dropped;
-    }
-
-    std::size_t occupancy() const { return crit_.size() + nonCrit_.size(); }
-    std::size_t criticalOccupancy() const { return crit_.size(); }
-    std::size_t nonCriticalOccupancy() const { return nonCrit_.size(); }
-
-    /** Both sections, each in ascending timestamp order. */
-    std::array<const std::deque<DynInst *> *, 2>
-    sections() const
-    {
-        return {&crit_, &nonCrit_};
-    }
-
-    /** Visit every entry (both sections), in no particular order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (DynInst *i : crit_)
-            fn(i);
-        for (DynInst *i : nonCrit_)
-            fn(i);
-    }
-
-    void
-    clear()
-    {
-        crit_.clear();
-        nonCrit_.clear();
-    }
-
-    /**
-     * Age-order walk (see Rob::auditAgeOrder): both sections must
-     * hold non-null entries in strictly increasing timestamp order
-     * under a cap that fits the capacity. @p name labels the queue
-     * ("LQ"/"SQ") in the panic message. Always compiled; sampled
-     * from the retire stage in Audit builds.
-     */
-    void
-    auditAgeOrder(const char *name) const
-    {
-        SIM_ASSERT(critCap_ <= size_, name,
-                   " critical cap exceeds capacity");
-        for (const auto *q : {&crit_, &nonCrit_}) {
-            const DynInst *prev = nullptr;
-            for (const DynInst *inst : *q) {
-                SIM_ASSERT(inst != nullptr, "null ", name, " entry");
-                SIM_ASSERT(!prev || prev->ts < inst->ts, name,
-                           " section out of age order");
-                prev = inst;
-            }
-        }
-    }
-
-    /** Snapshot both sections; @p ref visits one DynInst* (as a
-     *  pool handle). forEach() cannot reconstruct the section split,
-     *  hence the member visitor. */
-    template <typename Ar, typename Ref>
-    void
-    fields(Ar &ar, Ref ref)
-    {
-        ar(critCap_, sized<std::uint32_t>(crit_, ref),
-           sized<std::uint32_t>(nonCrit_, ref));
-    }
-
-  private:
-    friend struct cdfsim::AuditPeer; //!< test-only corruption access
-
-    SIM_SNAPSHOT_FIELDS(4);
-
-    unsigned size_;
-    unsigned critCap_;
-    std::deque<DynInst *> crit_;
-    std::deque<DynInst *> nonCrit_;
-};
 
 /** Load + store queues with the disambiguation searches. */
 class Lsq
@@ -163,10 +24,10 @@ class Lsq
   public:
     Lsq(unsigned lqSize, unsigned sqSize) : lq_(lqSize), sq_(sqSize) {}
 
-    MemQueue &lq() { return lq_; }
-    MemQueue &sq() { return sq_; }
-    const MemQueue &lq() const { return lq_; }
-    const MemQueue &sq() const { return sq_; }
+    SectionQueue &lq() { return lq_; }
+    SectionQueue &sq() { return sq_; }
+    const SectionQueue &lq() const { return lq_; }
+    const SectionQueue &sq() const { return sq_; }
 
     /**
      * Store-to-load forwarding search for @p load (whose address is
@@ -248,40 +109,9 @@ class Lsq
         return worst;
     }
 
-    /**
-     * Age-order + kind walk: both queues pass their section walks,
-     * every LQ entry is a load, and every SQ entry is a store.
-     * Always compiled; sampled from the retire stage in Audit
-     * builds (Core::auditLsqRobAge adds the cross-checks against
-     * the ROB and the instruction pool).
-     */
-    void
-    auditAgeOrder() const
-    {
-        lq_.auditAgeOrder("LQ");
-        sq_.auditAgeOrder("SQ");
-        lq_.forEach([](DynInst *inst) {
-            SIM_ASSERT(inst->isLoad(), "non-load in the LQ");
-        });
-        sq_.forEach([](DynInst *inst) {
-            SIM_ASSERT(inst->isStore(), "non-store in the SQ");
-        });
-    }
-
-    /** Snapshot both queues (delegates the pointer visitor). */
-    template <typename Ar, typename Ref>
-    void
-    fields(Ar &ar, Ref ref)
-    {
-        lq_.fields(ar, ref);
-        sq_.fields(ar, ref);
-    }
-
   private:
-    SIM_SNAPSHOT_FIELDS(2);
-
-    MemQueue lq_;
-    MemQueue sq_;
+    SectionQueue lq_;
+    SectionQueue sq_;
 };
 
 } // namespace cdfsim::ooo

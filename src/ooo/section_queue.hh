@@ -1,18 +1,21 @@
 /**
  * @file
- * Partitioned reorder buffer (paper Section 3.5).
+ * Partitioned window queue (paper Section 3.5): the reorder buffer,
+ * the load queue and the store queue are each one SectionQueue.
  *
  * Two program-ordered sections — critical and non-critical — share
- * one capacity budget. In baseline mode everything lives in the
- * non-critical section. Retirement compares the timestamps of the
- * two section heads and retires the older, which is exactly the
- * paper's dual-retire-pointer scheme. Flushes truncate each section
- * from the back (entries are timestamp-ordered within a section).
+ * one capacity budget, of which the partition controller grants the
+ * critical section a cap. In baseline mode everything lives in the
+ * non-critical section. The oldest entry is the older of the two
+ * section heads, which is exactly the paper's dual-head-pointer
+ * scheme; flushes truncate each section from the back (entries are
+ * timestamp-ordered within a section).
  */
 
-#ifndef CDFSIM_OOO_ROB_HH
-#define CDFSIM_OOO_ROB_HH
+#ifndef CDFSIM_OOO_SECTION_QUEUE_HH
+#define CDFSIM_OOO_SECTION_QUEUE_HH
 
+#include <array>
 #include <deque>
 
 #include "common/audit.hh"
@@ -23,22 +26,22 @@
 namespace cdfsim::ooo
 {
 
-/** The reorder buffer. */
-class Rob
+/** One partitioned window structure (ROB, LQ or SQ). */
+class SectionQueue
 {
   public:
-    explicit Rob(unsigned size) : size_(size), critCap_(0) {}
+    explicit SectionQueue(unsigned size) : size_(size), critCap_(0) {}
 
     unsigned size() const { return size_; }
 
     /** Capacity currently granted to the critical section. */
     unsigned criticalCap() const { return critCap_; }
 
-    /** Update partition capacities (from the partition controller). */
+    /** Update the critical cap (from the partition controller). */
     void
     setCriticalCap(unsigned cap)
     {
-        SIM_ASSERT(cap <= size_, "critical cap exceeds ROB");
+        SIM_ASSERT(cap <= size_, "critical cap exceeds queue size");
         critCap_ = cap;
     }
 
@@ -53,25 +56,19 @@ class Rob
     void
     insert(DynInst *inst, bool critical)
     {
-        SIM_ASSERT(canInsert(critical), "ROB section overflow");
+        SIM_ASSERT(canInsert(critical), "queue section overflow");
         auto &q = critical ? crit_ : nonCrit_;
         SIM_ASSERT(q.empty() || q.back()->ts < inst->ts,
-                   "ROB section out of program order");
+                   "queue section out of program order");
         q.push_back(inst);
     }
 
     bool empty() const { return crit_.empty() && nonCrit_.empty(); }
-
-    std::size_t
-    occupancy() const
-    {
-        return crit_.size() + nonCrit_.size();
-    }
-
+    std::size_t occupancy() const { return crit_.size() + nonCrit_.size(); }
     std::size_t criticalOccupancy() const { return crit_.size(); }
     std::size_t nonCriticalOccupancy() const { return nonCrit_.size(); }
 
-    /** The globally oldest instruction (minimum timestamp head). */
+    /** The globally oldest entry (minimum timestamp head). */
     DynInst *
     head() const
     {
@@ -84,21 +81,22 @@ class Rob
                    : nonCrit_.front();
     }
 
-    /** Remove the head returned by head(). */
+    /** Remove a specific retiring instruction (it is a head). */
     void
-    popHead()
+    retire(DynInst *inst)
     {
-        DynInst *h = head();
-        SIM_ASSERT(h, "popHead on empty ROB");
-        if (!crit_.empty() && crit_.front() == h)
+        if (!crit_.empty() && crit_.front() == inst) {
             crit_.pop_front();
-        else
-            nonCrit_.pop_front();
+            return;
+        }
+        SIM_ASSERT(!nonCrit_.empty() && nonCrit_.front() == inst,
+                   "retiring instruction is not a section head");
+        nonCrit_.pop_front();
     }
 
     /**
-     * Drop every instruction with ts > @p flushTs. Returns how many
-     * were dropped (callers walk the master list for cleanup).
+     * Drop every entry with ts > @p flushTs. Returns how many were
+     * dropped (callers walk the master list for cleanup).
      */
     unsigned
     flushYounger(SeqNum flushTs)
@@ -113,20 +111,22 @@ class Rob
         return dropped;
     }
 
-    /** Iteration support for stall analysis (Fig. 1). */
-    const std::deque<DynInst *> &criticalSection() const { return crit_; }
-
-    const std::deque<DynInst *> &
-    nonCriticalSection() const
+    /** Both sections (critical first), each in ascending ts order. */
+    std::array<const std::deque<DynInst *> *, 2>
+    sections() const
     {
-        return nonCrit_;
+        return {&crit_, &nonCrit_};
     }
 
+    /** Visit every entry (both sections), in no particular order. */
+    template <typename Fn>
     void
-    clear()
+    forEach(Fn &&fn) const
     {
-        crit_.clear();
-        nonCrit_.clear();
+        for (DynInst *i : crit_)
+            fn(i);
+        for (DynInst *i : nonCrit_)
+            fn(i);
     }
 
     /**
@@ -134,27 +134,30 @@ class Rob
      * strictly increasing timestamp order, under a critical cap that
      * fits the capacity. insert() asserts each of these pairwise at
      * insert time; the walk catches later corruption of resident
-     * state. Always compiled (tests call it in any build type);
+     * state. @p name labels the queue ("ROB"/"LQ"/"SQ") in the panic
+     * message. Always compiled (tests call it in any build type);
      * sampled from the retire stage in Audit builds.
      */
     void
-    auditAgeOrder() const
+    auditAgeOrder(const char *name) const
     {
-        SIM_ASSERT(critCap_ <= size_,
-                   "ROB critical cap exceeds capacity");
-        for (const auto *q : {&crit_, &nonCrit_}) {
+        SIM_ASSERT(critCap_ <= size_, name,
+                   " critical cap exceeds capacity");
+        for (const auto *q : sections()) {
             const DynInst *prev = nullptr;
             for (const DynInst *inst : *q) {
-                SIM_ASSERT(inst != nullptr, "null ROB entry");
-                SIM_ASSERT(!prev || prev->ts < inst->ts,
-                           "ROB section out of age order");
+                SIM_ASSERT(inst != nullptr, "null ", name, " entry");
+                SIM_ASSERT(!prev || prev->ts < inst->ts, name,
+                           " section out of age order");
                 prev = inst;
             }
         }
     }
 
     /** Snapshot both sections; @p ref visits one DynInst* (as a
-     *  pool handle). Capacity is config-fixed and excluded. */
+     *  pool handle). forEach() cannot reconstruct the section split,
+     *  hence the member visitor. Capacity is config-fixed and
+     *  excluded. */
     template <typename Ar, typename Ref>
     void
     fields(Ar &ar, Ref ref)
@@ -176,4 +179,4 @@ class Rob
 
 } // namespace cdfsim::ooo
 
-#endif // CDFSIM_OOO_ROB_HH
+#endif // CDFSIM_OOO_SECTION_QUEUE_HH

@@ -43,6 +43,83 @@ accuracy(Tage &tage, Addr pc, Gen &&gen, int warmup, int measure)
 
 } // namespace
 
+TEST(Tage, OutOfRangeGeometryIsAConfigError)
+{
+    // Every TAGE knob is a spec key. A bad value must fail as a
+    // config error naming the key before any table is sized — never
+    // an undefined shift, a 2^40-entry allocation, a NaN history
+    // length or a silent clamp to the 256-bit history.
+    struct Case
+    {
+        const char *key;
+        unsigned TageConfig::*field;
+        unsigned value;
+    };
+    const Case cases[] = {
+        {"num_tables", &TageConfig::numTables, 0},
+        {"num_tables", &TageConfig::numTables, kMaxTageTables + 1},
+        {"table_bits_log2", &TageConfig::tableBitsLog2, 0},
+        {"table_bits_log2", &TageConfig::tableBitsLog2, 40},
+        {"table_bits_log2", &TageConfig::tableBitsLog2, 64},
+        {"tag_bits", &TageConfig::tagBits, 0},
+        {"tag_bits", &TageConfig::tagBits, 17},
+        {"counter_bits", &TageConfig::counterBits, 0},
+        {"counter_bits", &TageConfig::counterBits, 9},
+        {"useful_bits", &TageConfig::usefulBits, 9},
+        {"min_history", &TageConfig::minHistory, 0},
+        {"min_history", &TageConfig::minHistory, 161}, // > max 160
+        {"max_history", &TageConfig::maxHistory, 257},
+        {"max_history", &TageConfig::maxHistory, 300},
+        {"bimodal_bits_log2", &TageConfig::bimodalBitsLog2, 0},
+        {"bimodal_bits_log2", &TageConfig::bimodalBitsLog2, 40},
+        {"bimodal_bits_log2", &TageConfig::bimodalBitsLog2, 64},
+        {"loop_entries", &TageConfig::loopEntries, 0},
+        {"loop_entries", &TageConfig::loopEntries, kMaxLoopEntries + 1},
+        {"sc_entries_log2", &TageConfig::scEntriesLog2, 0},
+        {"sc_entries_log2", &TageConfig::scEntriesLog2, 40},
+        {"sc_entries_log2", &TageConfig::scEntriesLog2, 64},
+    };
+    StatRegistry s;
+    for (const Case &c : cases) {
+        TageConfig config;
+        config.*c.field = c.value;
+        try {
+            Tage tage(config, s);
+            ADD_FAILURE() << c.key << " = " << c.value << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("bp.tage.") +
+                                                 c.key),
+                      std::string::npos)
+                << "message must name the key: " << e.what();
+        }
+    }
+}
+
+TEST(Tage, GeometryRangeEdgesAreAccepted)
+{
+    StatRegistry s;
+    TageConfig config;
+    config.maxHistory = 256;
+    config.minHistory = 256;
+    config.numTables = kMaxTageTables;
+    config.tagBits = 16;
+    config.counterBits = 8;
+    config.usefulBits = 0;
+    config.loopEntries = kMaxLoopEntries;
+    EXPECT_NO_THROW(Tage(config, s));
+    config = TageConfig{};
+    config.numTables = 1;
+    config.minHistory = 1;
+    config.maxHistory = 1;
+    config.tableBitsLog2 = 1;
+    config.tagBits = 1;
+    config.counterBits = 1;
+    config.bimodalBitsLog2 = 1;
+    config.loopEntries = 1;
+    config.scEntriesLog2 = 1;
+    EXPECT_NO_THROW(Tage(config, s));
+}
+
 TEST(Tage, LearnsAlwaysTaken)
 {
     StatRegistry s;

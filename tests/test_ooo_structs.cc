@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the OoO backend structures: the partitioned ROB,
- * the partitioned load/store queues with timestamp disambiguation,
+ * Unit tests for the OoO backend structures: the partitioned window
+ * queue (ROB, LQ and SQ) and the load/store queues' timestamp
+ * disambiguation,
  * the reservation stations' critical-first selection, and the
  * rename map / physical register file, and the per-block
  * criticality bits CDF hands from critical to regular fetch.
@@ -15,8 +16,8 @@
 #include "ooo/core.hh"
 #include "ooo/lsq.hh"
 #include "ooo/rename.hh"
-#include "ooo/rob.hh"
 #include "ooo/rs.hh"
+#include "ooo/section_queue.hh"
 
 using namespace cdfsim;
 using namespace cdfsim::ooo;
@@ -54,11 +55,15 @@ makeMem(SeqNum ts, Addr addr, bool isStore, bool addrKnown = true)
 
 } // namespace
 
-// --- Rob ---
+// --- SectionQueue ---
+//
+// The Rob.* cases drive a SectionQueue the way the core drives its
+// ROB (retire from the global head); the SectionQueue.* cases cover
+// the rest of the shared API.
 
 TEST(Rob, RetiresMinimumTimestampAcrossSections)
 {
-    Rob rob(16);
+    SectionQueue rob(16);
     rob.setCriticalCap(8);
     DynInst c1 = makeInst(5, true), c2 = makeInst(9, true);
     DynInst n1 = makeInst(3), n2 = makeInst(7);
@@ -68,17 +73,17 @@ TEST(Rob, RetiresMinimumTimestampAcrossSections)
     rob.insert(&n2, false);
 
     EXPECT_EQ(rob.head()->ts, 3u);
-    rob.popHead();
+    rob.retire(rob.head());
     EXPECT_EQ(rob.head()->ts, 5u);
-    rob.popHead();
+    rob.retire(rob.head());
     EXPECT_EQ(rob.head()->ts, 7u);
-    rob.popHead();
+    rob.retire(rob.head());
     EXPECT_EQ(rob.head()->ts, 9u);
 }
 
 TEST(Rob, SectionCapacitiesEnforced)
 {
-    Rob rob(4);
+    SectionQueue rob(4);
     rob.setCriticalCap(1);
     DynInst c1 = makeInst(1, true), c2 = makeInst(2, true);
     DynInst n1 = makeInst(3), n2 = makeInst(4), n3 = makeInst(5),
@@ -96,7 +101,7 @@ TEST(Rob, SectionCapacitiesEnforced)
 
 TEST(Rob, FlushYoungerTruncatesBothSections)
 {
-    Rob rob(16);
+    SectionQueue rob(16);
     rob.setCriticalCap(8);
     DynInst c1 = makeInst(2, true), c2 = makeInst(8, true);
     DynInst n1 = makeInst(4), n2 = makeInst(6), n3 = makeInst(9);
@@ -112,7 +117,7 @@ TEST(Rob, FlushYoungerTruncatesBothSections)
 
 TEST(Rob, FlushYoungerOnEmptyRobIsNoop)
 {
-    Rob rob(8);
+    SectionQueue rob(8);
     EXPECT_EQ(rob.flushYounger(5), 0u);
     EXPECT_TRUE(rob.empty());
     EXPECT_EQ(rob.head(), nullptr);
@@ -120,7 +125,7 @@ TEST(Rob, FlushYoungerOnEmptyRobIsNoop)
 
 TEST(Rob, FlushYoungerCanFlushEverything)
 {
-    Rob rob(8);
+    SectionQueue rob(8);
     rob.setCriticalCap(4);
     DynInst c1 = makeInst(3, true), n1 = makeInst(4), n2 = makeInst(6);
     rob.insert(&c1, true);
@@ -133,7 +138,7 @@ TEST(Rob, FlushYoungerCanFlushEverything)
 
 TEST(Rob, FlushYoungerAtOrAboveMaxTsFlushesNothing)
 {
-    Rob rob(8);
+    SectionQueue rob(8);
     rob.setCriticalCap(4);
     DynInst c1 = makeInst(3, true), n1 = makeInst(4), n2 = makeInst(6);
     rob.insert(&c1, true);
@@ -147,11 +152,85 @@ TEST(Rob, FlushYoungerAtOrAboveMaxTsFlushesNothing)
 
 TEST(Rob, OutOfOrderInsertPanics)
 {
-    Rob rob(8);
+    SectionQueue rob(8);
     rob.setCriticalCap(4);
     DynInst a = makeInst(5, true), b = makeInst(4, true);
     rob.insert(&a, true);
     EXPECT_THROW(rob.insert(&b, true), PanicError);
+}
+
+TEST(SectionQueue, PartitionedCapacityAndRetire)
+{
+    SectionQueue q(4);
+    q.setCriticalCap(2);
+    DynInst c = makeMem(1, 0, false);
+    c.critical = true;
+    DynInst n = makeMem(2, 0, false);
+    q.insert(&c, true);
+    q.insert(&n, false);
+    EXPECT_EQ(q.criticalOccupancy(), 1u);
+    q.retire(&c);
+    q.retire(&n);
+    EXPECT_EQ(q.occupancy(), 0u);
+}
+
+TEST(SectionQueue, RetiringANonHeadPanics)
+{
+    // The ROB retires through the same head check as the LSQ.
+    SectionQueue rob(8);
+    rob.setCriticalCap(4);
+    DynInst stranger = makeInst(0);
+    EXPECT_THROW(rob.retire(&stranger), PanicError) << "empty queue";
+    DynInst c1 = makeInst(1, true), c2 = makeInst(3, true);
+    DynInst n1 = makeInst(2), n2 = makeInst(4);
+    rob.insert(&c1, true);
+    rob.insert(&c2, true);
+    rob.insert(&n1, false);
+    rob.insert(&n2, false);
+    EXPECT_THROW(rob.retire(&c2), PanicError) << "second in its section";
+    EXPECT_THROW(rob.retire(&n2), PanicError) << "second in its section";
+    EXPECT_THROW(rob.retire(&stranger), PanicError) << "not resident";
+    EXPECT_EQ(rob.occupancy(), 4u) << "a refused retire changes nothing";
+    rob.retire(&c1);
+    rob.retire(&n1);
+    EXPECT_EQ(rob.head(), &c2);
+}
+
+TEST(SectionQueue, SectionsAndForEachCoverBothSectionsInOrder)
+{
+    SectionQueue q(8);
+    q.setCriticalCap(4);
+    DynInst c1 = makeInst(1, true), c2 = makeInst(5, true);
+    DynInst n1 = makeInst(2), n2 = makeInst(3);
+    q.insert(&c1, true);
+    q.insert(&n1, false);
+    q.insert(&n2, false);
+    q.insert(&c2, true);
+
+    const auto [crit, nonCrit] = q.sections();
+    ASSERT_EQ(crit->size(), 2u);
+    ASSERT_EQ(nonCrit->size(), 2u);
+    EXPECT_EQ((*crit)[0], &c1);
+    EXPECT_EQ((*crit)[1], &c2);
+    EXPECT_EQ((*nonCrit)[0], &n1);
+    EXPECT_EQ((*nonCrit)[1], &n2);
+
+    SeqNum tsSum = 0;
+    unsigned visits = 0;
+    q.forEach([&](DynInst *i) {
+        tsSum += i->ts;
+        ++visits;
+    });
+    EXPECT_EQ(visits, 4u);
+    EXPECT_EQ(tsSum, 11u);
+    EXPECT_NO_THROW(q.auditAgeOrder("ROB"));
+}
+
+TEST(SectionQueue, CriticalCapAboveSizePanics)
+{
+    SectionQueue q(4);
+    EXPECT_NO_THROW(q.setCriticalCap(4));
+    EXPECT_THROW(q.setCriticalCap(5), PanicError);
 }
 
 // --- Lsq ---
@@ -294,7 +373,7 @@ TEST(Lsq, BoundedSearchesMatchFullScanFuzz)
             d.state = static_cast<InstState>(rng.below(4));
             if (!isStore && rng.below(3) == 0)
                 d.forwardSrcTs = rng.below(ts);
-            MemQueue &q = isStore ? lsq.sq() : lsq.lq();
+            SectionQueue &q = isStore ? lsq.sq() : lsq.lq();
             const bool crit = rng.below(2) == 0;
             if (q.canInsert(crit))
                 q.insert(&d, crit);
@@ -321,21 +400,6 @@ TEST(Lsq, BoundedSearchesMatchFullScanFuzz)
                 << "round " << round << " store ts " << at;
         }
     }
-}
-
-TEST(MemQueue, PartitionedCapacityAndRetire)
-{
-    MemQueue q(4);
-    q.setCriticalCap(2);
-    DynInst c = makeMem(1, 0, false);
-    c.critical = true;
-    DynInst n = makeMem(2, 0, false);
-    q.insert(&c, true);
-    q.insert(&n, false);
-    EXPECT_EQ(q.criticalOccupancy(), 1u);
-    q.retire(&c);
-    q.retire(&n);
-    EXPECT_EQ(q.occupancy(), 0u);
 }
 
 // --- ReservationStations ---

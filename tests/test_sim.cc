@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulator.hh"
 
 using namespace cdfsim;
@@ -79,6 +81,42 @@ TEST(CoreConfig, TooFewPhysRegsIsFatal)
     isa::MemoryImage mem = w.makeMemory();
     StatRegistry stats;
     EXPECT_THROW(ooo::Core(cfg, w.program, mem, stats), FatalError);
+}
+
+TEST(CoreConfig, PartitionOutOfRangeIsFatal)
+{
+    // cdf.partition values are spec keys: a fraction outside [0, 1]
+    // or a floor that leaves a section no room must fail as a config
+    // error naming the key, not as an out-of-range float-to-unsigned
+    // cast or an internal assertion.
+    auto w = workloads::makeWorkload("parest");
+    const auto build = [&](auto set) {
+        ooo::CoreConfig cfg;
+        cfg.mode = ooo::CoreMode::Cdf;
+        set(cfg.cdf.partition);
+        isa::MemoryImage mem = w.makeMemory();
+        StatRegistry stats;
+        ooo::Core core(cfg, w.program, mem, stats);
+    };
+    const auto rejects = [&](auto set, const char *key) {
+        try {
+            build(set);
+            ADD_FAILURE() << key << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << "message must name the key: " << e.what();
+        }
+    };
+    using P = cdf::PartitionConfig;
+    rejects([](P &p) { p.initialCriticalFrac = -0.5; },
+            "cdf.partition.initial_critical_frac");
+    rejects([](P &p) { p.initialCriticalFrac = 1.5; },
+            "cdf.partition.initial_critical_frac");
+    rejects([](P &p) { p.minSection = 200; }, "cdf.partition.min_section");
+    rejects([](P &p) { p.minLsqSection = 1000; },
+            "cdf.partition.min_lsq_section");
+    EXPECT_NO_THROW(build([](P &p) { p.initialCriticalFrac = 0.0; }));
+    EXPECT_NO_THROW(build([](P &p) { p.initialCriticalFrac = 1.0; }));
 }
 
 TEST(Simulator, ScaledDownCoreStillCorrect)
