@@ -38,6 +38,9 @@ struct Program
     {
         return static_cast<std::size_t>(pc) < code.size();
     }
+
+    /** Whether a wrong-path or shadow walk may execute @p pc. */
+    bool walkable(Addr pc) const { return validPc(pc) && !at(pc).isHalt(); }
 };
 
 /**

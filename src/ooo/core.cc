@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 #include "ooo/trace_env.hh"
@@ -17,11 +18,36 @@ namespace
 /** Uops per instruction cache line (8B encoding per uop). */
 constexpr Addr kUopsPerLine = kLineBytes / 8;
 
+/** @p c, checked before any member is built from it. A zero
+ *  width or size leaves a stage that never moves or a queue that
+ *  cannot be built. */
+const CoreConfig &
+checkedConfig(const CoreConfig &c)
+{
+    const std::pair<const char *, unsigned> sizes[] = {
+        {"width", c.width}, {"issue_width", c.issueWidth},
+        {"rob_size", c.robSize}, {"rs_size", c.rsSize},
+        {"lq_size", c.lqSize}, {"sq_size", c.sqSize},
+        {"fetch_queue_size", c.fetchQueueSize},
+        {"max_loads_per_cycle", c.maxLoadsPerCycle},
+        {"max_stores_per_cycle", c.maxStoresPerCycle},
+        {"cdf.dbq_entries", c.cdf.dbqEntries},
+        {"cdf.cmq_entries", c.cdf.cmqEntries}};
+    for (const auto &[key, value] : sizes) {
+        if (value == 0)
+            fatal(key, " must be at least 1");
+    }
+    if (c.physRegs < c.robSize + kNumArchRegs)
+        fatal("physRegs (", c.physRegs,
+              ") must cover ROB + architectural state");
+    return c;
+}
+
 } // namespace
 
 Core::Core(const CoreConfig &config, const isa::Program &program,
            isa::MemoryImage &memory, StatRegistry &stats)
-    : config_(config),
+    : config_(checkedConfig(config)),
       stats_(stats),
       oracle_(program, memory),
       walker_(program, memory),
@@ -56,11 +82,6 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
       statRunaheadTraceMiss_(
           stats.counter("core.runahead_trace_misses"))
 {
-    if (config_.physRegs < config_.robSize + kNumArchRegs) {
-        fatal("physRegs (", config_.physRegs,
-              ") must cover ROB + architectural state");
-    }
-
     regWaiters_.resize(config_.physRegs);
     completions_.reserve(config_.robSize + 8);
     completionsScratch_.reserve(config_.robSize + 8);
@@ -448,8 +469,7 @@ Core::fetchStage()
         // Both fetch engines run in parallel with their own
         // bandwidth (separate structures: uop cache vs I-cache).
         unsigned critBudget = config_.width;
-        if (!cdfDraining_)
-            fetchCriticalCdf(critBudget);
+        fetchCriticalCdf(critBudget);
         fetchRegularCdf(budget);
         return;
     }
@@ -457,11 +477,27 @@ Core::fetchStage()
     fetchRegularBaseline(budget);
 }
 
+Core::FetchGate
+Core::baselineFetchGate()
+{
+    if (frontQ_.full())
+        return FetchGate::Blocked;
+    if (wrongPath_) { // garbage or a halt: stall until recovery
+        return oracle_.program().walkable(wrongPathPc_) ? FetchGate::Progress
+                                                        : FetchGate::Blocked;
+    }
+    return oracle_.hasRecord(nextFetchTs_) ? FetchGate::Progress
+                                           : FetchGate::OracleDry;
+}
+
 void
 Core::fetchRegularBaseline(unsigned &budget)
 {
     while (budget > 0) {
-        if (frontQ_.full())
+        const FetchGate gate = baselineFetchGate();
+        if (gate == FetchGate::OracleDry)
+            fetchDoneHalt_ = true;
+        if (gate != FetchGate::Progress)
             return;
 
         // Pick the next record: oracle when on the correct path,
@@ -470,10 +506,6 @@ Core::fetchRegularBaseline(unsigned &budget)
         isa::ExecRecord wpRec;
         SeqNum ts;
         if (!wrongPath_) {
-            if (!oracle_.hasRecord(nextFetchTs_)) {
-                fetchDoneHalt_ = true;
-                return;
-            }
             recp = &oracle_.at(nextFetchTs_);
             ts = nextFetchTs_;
 
@@ -484,11 +516,6 @@ Core::fetchRegularBaseline(unsigned &budget)
                     return;
             }
         } else {
-            if (!oracle_.program().validPc(wrongPathPc_))
-                return; // fetching garbage: stall until recovery
-            const isa::Uop &wuop = oracle_.program().at(wrongPathPc_);
-            if (wuop.isHalt())
-                return;
             wpRec = walker_.execute(wrongPathPc_);
             recp = &wpRec;
             ts = ++wrongPathTs_;
@@ -571,17 +598,26 @@ Core::fetchRegularBaseline(unsigned &budget)
 }
 
 void
-Core::statsStage()
+Core::sampleCycleStats(std::uint64_t n)
 {
     // MLP sampling (Fig. 14): outstanding DRAM misses when active.
+    // Idle-skip never jumps across a change in these counts, and
+    // addRepeated sums a repeated integral value exactly.
     const unsigned demand = mem_.outstandingDemandMisses(now_);
     const unsigned useless = mem_.outstandingUselessMisses(now_);
     if (demand + useless > 0) {
-        mlpWhenActive_.add(static_cast<double>(demand + useless));
-        uselessMlpWhenActive_.add(static_cast<double>(useless));
+        mlpWhenActive_.addRepeated(static_cast<double>(demand + useless),
+                                   n);
+        uselessMlpWhenActive_.addRepeated(static_cast<double>(useless), n);
     }
     if (cdfMode_)
-        ++cdfModeCycles_;
+        cdfModeCycles_ += n;
+}
+
+void
+Core::statsStage()
+{
+    sampleCycleStats(1);
 
     // After a CDF episode ends, the critical sections shrink as
     // their instructions retire (Section 3.6). Pending critical

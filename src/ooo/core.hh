@@ -307,9 +307,14 @@ class Core
 
     // --- Recovery ---
     void recoverFromBranch(DynInst *branch);
-    void dependenceViolationRecovery(SeqNum violTs);
-    void memoryOrderViolation(DynInst *load);
+    /** Dependence or memory-order violation: flush from @p restartTs
+     *  on and refetch it, counting the event in @p stat. */
+    void recoverFromViolation(SeqNum restartTs, std::uint64_t &stat);
     void squashYoungerThan(SeqNum flushTs);
+    /** Resume regular fetch at @p ts; a @p flush also charges the
+     *  redirect penalty. In CDF mode only the penalty applies: the
+     *  CDF cursors carry the redirect. */
+    void redirectFetch(SeqNum ts, bool flush);
 
     // --- CDF mode control ---
     void maybeEnterCdfMode(Addr pc, SeqNum seq);
@@ -317,11 +322,15 @@ class Core
     void beginCdfExit();
     void finishCdfExit();
     void abortCdfMode();
+    void endCdfEpisode(); //!< teardown shared by exit and abort
     void applyPartitionCaps();
     void releasePartitionCaps();
 
     // --- PRE (runahead) ---
     void maybeEnterRunahead(const DynInst *head);
+    /** PRE entry's disqualifiers, shared with idle-skip: a reliable
+     *  fetch frontier and a @p head still waiting on its miss. */
+    bool runaheadCanStart(const DynInst *head);
     void runaheadStep(unsigned &budget);
     void exitRunahead();
 
@@ -330,6 +339,28 @@ class Core
 
     bool icacheGate(Addr pc, unsigned &budget);
     bool frontStopped() const;
+
+    /**
+     * A fetch engine's stop tests, without their side effects: the
+     * engine checks its gate at the top of each loop iteration, and
+     * idle-skip classifies with the same call. Two verdicts act: the
+     * baseline engine latches fetchDoneHalt_ on OracleDry, and the
+     * CDF regular engine ends the episode on CdfExit. Gates that ask
+     * the oracle are not const: that may materialize a record.
+     */
+    enum class FetchGate : unsigned char
+    {
+        Progress,
+        Blocked,
+        OracleDry,
+        CdfExit,
+    };
+    FetchGate criticalFetchGate() const;
+    FetchGate regularCdfFetchGate();
+    FetchGate baselineFetchGate();
+
+    /** The per-cycle MLP and CDF-residency sample, taken @p n times. */
+    void sampleCycleStats(std::uint64_t n);
 
     // --- Idle-cycle fast-forward (core_skip.cc) ---
     /**

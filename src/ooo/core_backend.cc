@@ -39,7 +39,7 @@ Core::renameStage()
     if (pendingDepViolationTs_ != kInvalidSeq) {
         const SeqNum ts = pendingDepViolationTs_;
         pendingDepViolationTs_ = kInvalidSeq;
-        dependenceViolationRecovery(ts);
+        recoverFromViolation(ts, statDepViolations_);
     }
 }
 
@@ -325,9 +325,15 @@ Core::executeStage()
     SIM_AUDIT_ONLY(if (rsAudit_.due()) auditRsWakeupCache();)
 
     if (pendingMemViolation_) {
-        DynInst *ld = pendingMemViolation_;
+        SeqNum ts = pendingMemViolation_->ts;
         pendingMemViolation_ = nullptr;
-        memoryOrderViolation(ld);
+        // In CDF mode, restart from the oldest point the regular
+        // stream has not yet fetched: uops older than that exist only
+        // in the critical stream and must not be refetched, while
+        // younger non-critical uops may not have been fetched at all.
+        if (cdfMode_ && regNextTs_ < ts)
+            ts = std::max<SeqNum>(regNextTs_, 1);
+        recoverFromViolation(ts, statMemOrderViolations_);
     }
 }
 
@@ -834,96 +840,68 @@ Core::recoverFromBranch(DynInst *branch)
     bp_.recover(bpCkptPool_.at(branch->bpCkpt), branch->taken,
                 branch->pc);
 
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
-    fetchDoneHalt_ = false;
-
-    if (config_.mode == CoreMode::Cdf && cdfMode_) {
-        if (branch->cdfFetched) {
-            // CDF mode survives the mispredict (Section 3.6): fix
-            // the DBQ entry so the regular stream follows the
-            // corrected path, and restart critical fetch there.
-            for (std::size_t i = 0; i < dbq_->size(); ++i) {
-                if (dbq_->at(i).ts == branch->ts) {
-                    dbq_->at(i).taken = branch->taken;
-                    dbq_->at(i).target = branch->actualTarget;
-                }
-            }
-            critOnPath_ = true;
-            cdfWalker_.deactivate();
-            critTraceValid_ = false;
-            critTraceIdx_ = 0;
-            critFetchPc_ = branch->actualTarget;
-            critFetchBaseTs_ = branch->ts + 1;
-            critCoveredUpTo_ = branch->ts + 1;
-            wpRecords_.clear();
-            wpConsumeIdx_ = 0;
-            regWrongPath_ = false;
-            if (regNextTs_ > branch->ts + 1)
-                regNextTs_ = branch->ts + 1;
-            cdfDraining_ = false;
-        } else {
-            // Recovery to a branch fetched before CDF mode began
-            // ends CDF mode (exit condition (c), Section 3.6).
-            abortCdfMode();
-            wrongPath_ = false;
-            walker_.deactivate();
-            nextFetchTs_ = branch->ts + 1;
-            fetchAtBbStart_ = true;
-        }
+    // Recovery to a branch fetched before CDF mode began ends CDF
+    // mode (exit condition (c), Section 3.6).
+    if (!branch->cdfFetched)
+        abortCdfMode();
+    redirectFetch(branch->ts + 1, true);
+    if (!cdfMode_)
         return;
-    }
 
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = branch->ts + 1;
-    fetchAtBbStart_ = true;
+    // CDF mode survives the mispredict (Section 3.6): fix the DBQ
+    // entry so the regular stream follows the corrected path, and
+    // restart critical fetch there.
+    for (std::size_t i = 0; i < dbq_->size(); ++i) {
+        if (dbq_->at(i).ts == branch->ts) {
+            dbq_->at(i).taken = branch->taken;
+            dbq_->at(i).target = branch->actualTarget;
+        }
+    }
+    critOnPath_ = true;
+    cdfWalker_.deactivate();
+    critTraceValid_ = false;
+    critTraceIdx_ = 0;
+    critFetchPc_ = branch->actualTarget;
+    critFetchBaseTs_ = branch->ts + 1;
+    critCoveredUpTo_ = branch->ts + 1;
+    wpRecords_.clear();
+    wpConsumeIdx_ = 0;
+    regWrongPath_ = false;
+    if (regNextTs_ > branch->ts + 1)
+        regNextTs_ = branch->ts + 1;
+    cdfDraining_ = false;
 }
 
 void
-Core::dependenceViolationRecovery(SeqNum violTs)
+Core::recoverFromViolation(SeqNum restartTs, std::uint64_t &stat)
 {
-    ++statDepViolations_;
-    SIM_ASSERT(violTs > 0, "dependence violation at ts 0");
-    squashYoungerThan(violTs - 1);
+    ++stat;
+    SIM_ASSERT(restartTs > 0, "violation recovery at ts 0");
+    // Runahead runs only in PRE mode, so this never fires for a
+    // dependence violation (CDF mode only).
+    if (raActive_)
+        exitRunahead();
+    squashYoungerThan(restartTs - 1);
     if (squashOldestCkptValid_)
         bp_.restore(squashOldestCkpt_);
     abortCdfMode();
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = violTs;
-    fetchAtBbStart_ = true;
-    fetchDoneHalt_ = false;
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
+    redirectFetch(restartTs, true);
 }
 
 void
-Core::memoryOrderViolation(DynInst *load)
+Core::redirectFetch(SeqNum ts, bool flush)
 {
-    ++statMemOrderViolations_;
-    SeqNum t = load->ts;
-    SIM_ASSERT(t > 0, "memory-order violation at ts 0");
-    if (raActive_)
-        exitRunahead();
-    // In CDF mode, restart from the oldest point the regular stream
-    // has not yet fetched: uops older than that exist only in the
-    // critical stream and must not be refetched, while younger
-    // non-critical uops may not have been fetched at all yet.
-    if (cdfMode_ && regNextTs_ < t)
-        t = std::max<SeqNum>(regNextTs_, 1);
-    squashYoungerThan(t - 1);
-    if (squashOldestCkptValid_)
-        bp_.restore(squashOldestCkpt_);
+    if (flush) {
+        fetchStallUntil_ = now_ + config_.mispredictRedirect;
+        lastFetchLine_ = ~Addr{0};
+        fetchDoneHalt_ = false;
+    }
     if (cdfMode_)
-        abortCdfMode();
+        return;
     wrongPath_ = false;
     walker_.deactivate();
-    nextFetchTs_ = t;
+    nextFetchTs_ = ts;
     fetchAtBbStart_ = true;
-    fetchDoneHalt_ = false;
-    fetchStallUntil_ = now_ + config_.mispredictRedirect;
-    lastFetchLine_ = ~Addr{0};
 }
 
 // ---------------------------------------------------------------------

@@ -139,9 +139,8 @@ Core::drainCriticalFrontend()
 }
 
 void
-Core::finishCdfExit()
+Core::endCdfEpisode()
 {
-    SIM_ASSERT(cdfMode_, "finishCdfExit outside CDF mode");
     cdfMode_ = false;
     cdfDraining_ = false;
     drainCriticalFrontend();
@@ -149,13 +148,6 @@ Core::finishCdfExit()
     critWpStuck_ = false;
     cdfWalker_.deactivate();
     critOnPath_ = true;
-
-    // Regular fetch resumes where the CDF regular stream stopped.
-    wrongPath_ = false;
-    walker_.deactivate();
-    nextFetchTs_ = regNextTs_;
-    fetchAtBbStart_ = true;
-
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
@@ -163,8 +155,20 @@ Core::finishCdfExit()
     rat_.clearAllPoison();
     // Note: the CMQ may still hold entries for critical uops that
     // are fetched but not yet replayed by regular rename; rename
-    // keeps draining it. The partition shrinks as the remaining
-    // critical instructions retire (handled in statsStage).
+    // keeps draining it. The DBQ keeps what survived a flush for the
+    // same reason: regular-stream copies already fetched still need
+    // their replays.
+}
+
+void
+Core::finishCdfExit()
+{
+    SIM_ASSERT(cdfMode_, "finishCdfExit outside CDF mode");
+    endCdfEpisode();
+    // Regular fetch resumes where the CDF regular stream stopped. The
+    // partition shrinks as the remaining critical instructions retire
+    // (handled in statsStage).
+    redirectFetch(regNextTs_, false);
 }
 
 void
@@ -172,22 +176,8 @@ Core::abortCdfMode()
 {
     if (!cdfMode_)
         return;
-    cdfMode_ = false;
-    cdfDraining_ = false;
     cdfCooldownUntil_ = now_ + config_.cdf.reentryCooldown;
-    // Keep the DBQ/CMQ contents that survived the flush: regular
-    // stream copies already fetched still need their replays for
-    // critical uops that made it into the backend.
-    drainCriticalFrontend();
-    critTraceValid_ = false;
-    critWpStuck_ = false;
-    cdfWalker_.deactivate();
-    critOnPath_ = true;
-    clearDbqCheckpoints();
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
-    rat_.clearAllPoison();
+    endCdfEpisode();
     releasePartitionCaps();
 }
 
@@ -195,14 +185,21 @@ Core::abortCdfMode()
 // Critical fetch engine
 // ---------------------------------------------------------------------
 
+Core::FetchGate
+Core::criticalFetchGate() const
+{
+    // Stopped by drain mode or a stuck wrong-path walk, or
+    // backpressured.
+    return cdfDraining_ || critWpStuck_ || critQ_.full() || dbq_->full()
+               ? FetchGate::Blocked
+               : FetchGate::Progress;
+}
+
 void
 Core::fetchCriticalCdf(unsigned &budget)
 {
-    if (critWpStuck_)
-        return; // idle until the pending mispredict recovery redirects
-
     while (budget > 0) {
-        if (critQ_.full() || dbq_->full())
+        if (criticalFetchGate() != FetchGate::Progress)
             return;
 
         // Acquire (and copy) the trace for the block at the cursor.
@@ -226,8 +223,7 @@ Core::fetchCriticalCdf(unsigned &budget)
                 for (unsigned off = 0; off < critTrace_.blockLength;
                      ++off) {
                     const Addr pc = critTrace_.startPc + off;
-                    if (!oracle_.program().validPc(pc) ||
-                        oracle_.program().at(pc).isHalt()) {
+                    if (!oracle_.program().walkable(pc)) {
                         wpRecords_.resize(base);
                         critTraceValid_ = false;
                         critWpStuck_ = true;
@@ -388,21 +384,39 @@ Core::fetchCriticalCdf(unsigned &budget)
 // Regular fetch stream in CDF mode
 // ---------------------------------------------------------------------
 
+Core::FetchGate
+Core::regularCdfFetchGate()
+{
+    if (frontQ_.full())
+        return FetchGate::Blocked;
+    const bool wpLeft = wpConsumeIdx_ < wpRecords_.size();
+    if (!regWrongPath_ && regNextTs_ >= critCoveredUpTo_) {
+        // The critical fetch leads; wait. Graceful exit once it
+        // drains and no wrong-path records remain.
+        return cdfDraining_ && !wpLeft ? FetchGate::CdfExit
+                                       : FetchGate::Blocked;
+    }
+    if (regWrongPath_ && !wpLeft)
+        return FetchGate::Blocked; // wait for the critical fetch's walker
+    // Branches need their DBQ entry; without it the stream cannot
+    // know which way to go yet.
+    if (dbq_->empty() &&
+        (regWrongPath_ ? wpRecords_[wpConsumeIdx_].rec
+                       : oracle_.at(regNextTs_))
+            .uop.isBranch())
+        return FetchGate::Blocked;
+    return FetchGate::Progress;
+}
+
 void
 Core::fetchRegularCdf(unsigned &budget)
 {
     while (budget > 0) {
-        if (frontQ_.full())
-            return;
-
-        // Graceful exit: the regular stream caught up with the
-        // critical fetch and no delayed branches remain.
-        if (cdfDraining_ && !regWrongPath_ &&
-            regNextTs_ >= critCoveredUpTo_ &&
-            wpConsumeIdx_ >= wpRecords_.size()) {
+        const FetchGate gate = regularCdfFetchGate();
+        if (gate == FetchGate::CdfExit)
             finishCdfExit();
+        if (gate != FetchGate::Progress)
             return;
-        }
 
         const isa::ExecRecord *recp;
         SeqNum ts;
@@ -410,8 +424,6 @@ Core::fetchRegularCdf(unsigned &budget)
         bool critFlag = false;
 
         if (!regWrongPath_) {
-            if (regNextTs_ >= critCoveredUpTo_)
-                return; // the critical fetch leads; wait
             recp = &oracle_.at(regNextTs_);
             ts = regNextTs_;
             onPath = true;
@@ -429,8 +441,6 @@ Core::fetchRegularCdf(unsigned &budget)
                 break;
             }
         } else {
-            if (wpConsumeIdx_ >= wpRecords_.size())
-                return; // wait for the critical fetch's walker
             const WpRecord &w = wpRecords_[wpConsumeIdx_];
             recp = &w.rec;
             ts = w.ts;
@@ -439,12 +449,8 @@ Core::fetchRegularCdf(unsigned &budget)
         }
         const isa::ExecRecord &rec = *recp;
 
-        // Branches need their DBQ entry; without it the stream
-        // cannot know which way to go yet.
         cdf::DbqEntry dbqEntry{};
         if (rec.uop.isBranch()) {
-            if (dbq_->empty())
-                return;
             SIM_ASSERT(dbq_->front().ts == ts,
                        "DBQ head out of sync: ", dbq_->front().ts,
                        " vs ", ts);
@@ -482,11 +488,8 @@ Core::fetchRegularCdf(unsigned &budget)
                 const bool wrong =
                     dbqEntry.taken != rec.taken ||
                     (dbqEntry.taken && dbqEntry.target != rec.nextPc);
+                // The critical copy owns the mispredict flag.
                 inst->mispredicted = !critFlag && wrong;
-                if (critFlag) {
-                    // The critical copy owns the mispredict flag.
-                    inst->mispredicted = false;
-                }
                 regNextTs_ = ts + 1;
                 if (wrong)
                     regWrongPath_ = true;

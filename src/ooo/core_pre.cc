@@ -39,7 +39,35 @@ garbageAddr(Addr pc, std::uint64_t salt)
     return (Addr{1} << 38) + (h % (1u << 22)) * kLineBytes;
 }
 
+/**
+ * One step of the shadow walk's taint propagation: @p uop's result
+ * is unavailable iff a source is. Returns whether it read a tainted
+ * register.
+ */
+bool
+propagateTaint(std::bitset<kNumArchRegs> &taint, const isa::Uop &uop)
+{
+    const bool tainted = (uop.src1 != kInvalidReg && taint[uop.src1]) ||
+                         (uop.src2 != kInvalidReg && taint[uop.src2]);
+    if (uop.writesReg())
+        taint[uop.dst] = tainted;
+    return tainted;
+}
+
 } // namespace
+
+bool
+Core::runaheadCanStart(const DynInst *head)
+{
+    if (wrongPath_ || nextFetchTs_ == 0)
+        return false; // no reliable frontier to run ahead from
+    if (head->completionCycle == kNeverCycle ||
+        head->completionCycle <= now_)
+        return false;
+    // Runahead starts at the next un-fetched instruction.
+    return oracle_.hasRecord(nextFetchTs_ - 1) &&
+           oracle_.program().validPc(oracle_.at(nextFetchTs_ - 1).nextPc);
+}
 
 void
 Core::maybeEnterRunahead(const DynInst *head)
@@ -55,20 +83,10 @@ Core::maybeEnterRunahead(const DynInst *head)
         stallTable_->update(head->pc, true);
     }
 
-    if (now_ - stallStartCycle_ < config_.pre.minStallCyclesToEnter)
-        return;
-    if (wrongPath_ || nextFetchTs_ == 0)
-        return; // no reliable frontier to run ahead from
-    if (head->completionCycle == kNeverCycle ||
-        head->completionCycle <= now_)
-        return;
-
-    // Start runahead at the next un-fetched instruction.
-    if (!oracle_.hasRecord(nextFetchTs_ - 1))
+    if (now_ - stallStartCycle_ < config_.pre.minStallCyclesToEnter ||
+        !runaheadCanStart(head))
         return;
     const Addr startPc = oracle_.at(nextFetchTs_ - 1).nextPc;
-    if (!oracle_.program().validPc(startPc))
-        return;
 
     raActive_ = true;
     ++statRunaheadEpisodes_;
@@ -95,18 +113,12 @@ Core::maybeEnterRunahead(const DynInst *head)
         const DynInst &inst = inflightPool_.at(i);
         if (!inst.onPath || !inst.uop.writesReg())
             continue;
-        bool tainted = false;
-        if (inst.state != InstState::Completed) {
-            if (inst.uop.src1 != kInvalidReg &&
-                raTaint_[inst.uop.src1])
-                tainted = true;
-            if (inst.uop.src2 != kInvalidReg &&
-                raTaint_[inst.uop.src2])
-                tainted = true;
-            if (inst.isLoad())
-                tainted = true;
-        }
-        raTaint_[inst.uop.dst] = tainted;
+        if (inst.state == InstState::Completed)
+            raTaint_[inst.uop.dst] = false;
+        else if (inst.isLoad())
+            raTaint_[inst.uop.dst] = true;
+        else
+            propagateTaint(raTaint_, inst.uop);
     }
 
     // The frontend usually stops mid-block; walk forward through the
@@ -116,20 +128,10 @@ Core::maybeEnterRunahead(const DynInst *head)
     for (unsigned i = 0; i < config_.pre.bbScanLimit; ++i) {
         if (uopCache_->contains(pc))
             break;
-        if (!oracle_.program().validPc(pc) ||
-            oracle_.program().at(pc).isHalt()) {
+        if (!oracle_.program().walkable(pc))
             break;
-        }
-        const isa::Uop &uop = oracle_.program().at(pc);
-        isa::ExecRecord rec = raWalker_.execute(pc);
-        bool tainted = false;
-        if (uop.src1 != kInvalidReg && raTaint_[uop.src1])
-            tainted = true;
-        if (uop.src2 != kInvalidReg && raTaint_[uop.src2])
-            tainted = true;
-        if (uop.writesReg())
-            raTaint_[uop.dst] = tainted;
-        pc = rec.nextPc;
+        propagateTaint(raTaint_, oracle_.program().at(pc));
+        pc = raWalker_.execute(pc).nextPc;
     }
     raPc_ = pc;
 }
@@ -148,11 +150,7 @@ Core::exitRunahead()
 void
 Core::runaheadStep(unsigned &budget)
 {
-    if (now_ >= raEndCycle_) {
-        exitRunahead();
-        return;
-    }
-
+    // fetchStage has already ended an episode whose stall resolved.
     // Runahead loads share the core's load ports and MSHRs: cap the
     // per-cycle issue rate and pause when the miss buffers are full,
     // as real PRE is bound by the free backend resources. A
@@ -181,20 +179,13 @@ Core::runaheadStep(unsigned &budget)
             for (unsigned off = 0; off < raTrace_.blockLength;
                  ++off) {
                 const Addr pc = raTrace_.startPc + off;
-                if (!oracle_.program().validPc(pc) ||
-                    oracle_.program().at(pc).isHalt()) {
+                if (!oracle_.program().walkable(pc)) {
                     raTraceValid_ = false;
                     return; // unwalkable: runahead idles
                 }
                 const isa::Uop &uop = oracle_.program().at(pc);
                 isa::ExecRecord rec = raWalker_.execute(pc);
-                bool tainted = false;
-                if (uop.src1 != kInvalidReg && raTaint_[uop.src1])
-                    tainted = true;
-                if (uop.src2 != kInvalidReg && raTaint_[uop.src2])
-                    tainted = true;
-                if (uop.writesReg())
-                    raTaint_[uop.dst] = tainted;
+                const bool tainted = propagateTaint(raTaint_, uop);
                 // A load whose address chain involves an
                 // unavailable register computes with stale values:
                 // usually the PREVIOUS committed address of the same

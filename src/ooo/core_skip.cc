@@ -30,6 +30,11 @@
  * jump; the deadlock watchdog and the run budget cap it so the
  * watchdog panic and the maxCycles exit land on exactly the cycles
  * they would have ticking.
+ *
+ * Rename, fetch, PRE entry and the per-cycle stats sample are not
+ * re-derived here: the skip calls the rename and fetch gates,
+ * runaheadCanStart and sampleCycleStats, as the tick does. Where a
+ * test here is more conservative than the tick, a comment says why.
  */
 
 #include <algorithm>
@@ -68,7 +73,9 @@ Core::nextEventCycle()
 
     // Post-episode partition release runs every cycle while the
     // critical cap drains; let it. (In CDF mode the caps are live
-    // and handled by the partition bound below.)
+    // and handled by the partition bound below.) Conservative on
+    // purpose: statsStage also waits for critQ_ to drain, but the
+    // release lasts only a few cycles, not worth a closed form.
     if (!cdfMode_ && parts_[kRob] && rob_.criticalCap() > 0)
         return tickNext;
 
@@ -104,56 +111,23 @@ Core::nextEventCycle()
     if (critGate == RenameGate::Progress)
         return tickNext;
 
-    // Fetch: stalled, permanently halted, or provably stuck. An
-    // oracle-dry frontend re-latches fetchDoneHalt_ at the next
-    // fetched tick, which is idempotent and reordering-safe (the
-    // latch is not a stat and fetch stays blocked either way).
-    // Checked before the O(entries) scans below: an active frontend
-    // is the common reason a retire-free cycle is not quiescent, and
-    // this detects it in O(1).
+    // Fetch: stalled, permanently halted, or every engine's gate
+    // blocked. The queues that block an engine drain only through
+    // rename or the other engine, both shown blocked here, so each
+    // verdict holds for the whole window. A dry oracle counts as
+    // blocked: the next fetched tick re-latches fetchDoneHalt_, which
+    // is idempotent and not a stat, and fetch stays blocked either
+    // way. A graceful CDF exit is progress. Checked before the
+    // O(entries) scans below: an active frontend is the common reason
+    // a retire-free cycle is not quiescent, and the gates detect it
+    // in O(1).
     if (!fetchDoneHalt_) {
         if (fetchStallUntil_ > now_) {
             bound = std::min(bound, fetchStallUntil_);
-        } else if (cdfMode_) {
-            // Critical engine: a no-op only when structurally blocked
-            // — its output queues full or the wrong-path walker stuck
-            // — or stopped entirely by drain mode. The queues drain
-            // through renameCritical / the regular engine, both shown
-            // blocked here.
-            if (!cdfDraining_ && !critWpStuck_ && !critQ_.full() &&
-                !dbq_->full())
-                return tickNext;
-            // Regular engine.
-            if (!frontQ_.full()) {
-                if (cdfDraining_ && !regWrongPath_ &&
-                    regNextTs_ >= critCoveredUpTo_ &&
-                    wpConsumeIdx_ >= wpRecords_.size())
-                    return tickNext; // graceful exit would fire
-                if (!regWrongPath_) {
-                    // Blocked only while waiting on the critical
-                    // fetch's lead or on a DBQ entry for a branch.
-                    if (regNextTs_ < critCoveredUpTo_ &&
-                        !(oracle_.hasRecord(regNextTs_) &&
-                          oracle_.at(regNextTs_).uop.isBranch() &&
-                          dbq_->empty()))
-                        return tickNext; // would fetch
-                } else {
-                    if (wpConsumeIdx_ < wpRecords_.size() &&
-                        !(wpRecords_[wpConsumeIdx_]
-                              .rec.uop.isBranch() &&
-                          dbq_->empty()))
-                        return tickNext; // would consume wp records
-                }
-            }
-        } else if (frontQ_.full()) {
-            // Backpressured; rename (bounded above) must free a slot.
-        } else if (wrongPath_) {
-            if (oracle_.program().validPc(wrongPathPc_) &&
-                !oracle_.program().at(wrongPathPc_).isHalt())
-                return tickNext; // would fetch wrong-path uops
-        } else {
-            if (oracle_.hasRecord(nextFetchTs_))
-                return tickNext; // would fetch real uops
+        } else if (cdfMode_ ? criticalFetchGate() == FetchGate::Progress ||
+                                  regularCdfFetchGate() != FetchGate::Blocked
+                            : baselineFetchGate() == FetchGate::Progress) {
+            return tickNext;
         }
     }
 
@@ -212,14 +186,7 @@ Core::nextEventCycle()
         h->isLoad() && h->llcMiss) {
         if (!stallCounting_)
             return tickNext; // first stalled cycle: side effects
-        const bool disqualified =
-            wrongPath_ || nextFetchTs_ == 0 ||
-            h->completionCycle == kNeverCycle ||
-            h->completionCycle <= now_ ||
-            !oracle_.hasRecord(nextFetchTs_ - 1) ||
-            !oracle_.program().validPc(
-                oracle_.at(nextFetchTs_ - 1).nextPc);
-        if (!disqualified) {
+        if (runaheadCanStart(h)) {
             bound = std::min(bound,
                              stallStartCycle_ +
                                  config_.pre.minStallCyclesToEnter);
@@ -239,22 +206,7 @@ void
 Core::bulkAccountSkippedCycles(std::uint64_t n)
 {
     statCycles_ += n;
-
-    // statsStage: the MLP sample. The outstanding counts cannot
-    // change strictly inside the window (the jump stops at the first
-    // ring event), so the sample repeats the same integral value.
-    const unsigned demand = mem_.outstandingDemandMisses(now_);
-    const unsigned useless = mem_.outstandingUselessMisses(now_);
-    if (demand + useless > 0) {
-        mlpWhenActive_.addRepeated(
-            static_cast<double>(demand + useless), n);
-        uselessMlpWhenActive_.addRepeated(static_cast<double>(useless),
-                                          n);
-    }
-
-    // statsStage: CDF mode-residency accounting.
-    if (cdfMode_)
-        cdfModeCycles_ += n;
+    sampleCycleStats(n);
 
     // retireStage tail: full-window-stall classification. All inputs
     // are frozen (readyAtRename's comparison against the advancing

@@ -2,10 +2,9 @@
  * @file
  * CDFSIM_TRACE_TS debug tracing: one shared, parse-once helper for
  * the per-instruction event trace scattered across the core's
- * translation units. The previous per-TU copies each cached the
- * getenv pointer but re-read the environment inside the init lambda
- * and never checked the sscanf result, so a malformed value (e.g.
- * "123" with no colon) silently traced the half-parsed range.
+ * translation units. CDFSIM_TRACE_TS=LO:HI traces the events of
+ * timestamps LO..HI to stderr; a malformed value disables tracing
+ * with a warning.
  */
 
 #ifndef CDFSIM_OOO_TRACE_ENV_HH

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "sim/simulator.hh"
 
@@ -117,6 +119,54 @@ TEST(CoreConfig, PartitionOutOfRangeIsFatal)
             "cdf.partition.min_lsq_section");
     EXPECT_NO_THROW(build([](P &p) { p.initialCriticalFrac = 0.0; }));
     EXPECT_NO_THROW(build([](P &p) { p.initialCriticalFrac = 1.0; }));
+}
+
+TEST(CoreConfig, ZeroSizesAreFatal)
+{
+    // With a zero width, port count or structure size the core never
+    // makes progress (the run burns its cycle budget) or cannot build
+    // a queue, so each must fail as a config error naming its spec
+    // key. The latencies and the watchdog keep 0 as a legal value.
+    auto w = workloads::makeWorkload("parest");
+    using C = ooo::CoreConfig;
+    const auto build = [&](const std::function<void(C &)> &set) {
+        C cfg;
+        cfg.mode = ooo::CoreMode::Cdf;
+        set(cfg);
+        isa::MemoryImage mem = w.makeMemory();
+        StatRegistry stats;
+        ooo::Core core(cfg, w.program, mem, stats);
+    };
+    const std::pair<const char *, std::function<void(C &)>> zeroes[] = {
+        {"width", [](C &c) { c.width = 0; }},
+        {"issue_width", [](C &c) { c.issueWidth = 0; }},
+        {"rob_size", [](C &c) { c.robSize = 0; }},
+        {"rs_size", [](C &c) { c.rsSize = 0; }},
+        {"lq_size", [](C &c) { c.lqSize = 0; }},
+        {"sq_size", [](C &c) { c.sqSize = 0; }},
+        {"fetch_queue_size", [](C &c) { c.fetchQueueSize = 0; }},
+        {"max_loads_per_cycle", [](C &c) { c.maxLoadsPerCycle = 0; }},
+        {"max_stores_per_cycle", [](C &c) { c.maxStoresPerCycle = 0; }},
+        {"cdf.dbq_entries", [](C &c) { c.cdf.dbqEntries = 0; }},
+        {"cdf.cmq_entries", [](C &c) { c.cdf.cmqEntries = 0; }},
+    };
+    for (const auto &[key, set] : zeroes) {
+        try {
+            build(set);
+            ADD_FAILURE() << key << ": 0 accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string(key) +
+                                                 " must be at least 1"),
+                      std::string::npos)
+                << "message must name the key: " << e.what();
+        }
+    }
+    EXPECT_NO_THROW(build([](C &c) {
+        c.deadlockCycles = 0;
+        c.frontendDepth = 0;
+        c.mispredictRedirect = 0;
+        c.btbMissPenalty = 0;
+    }));
 }
 
 TEST(Simulator, ScaledDownCoreStillCorrect)

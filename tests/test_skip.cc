@@ -13,7 +13,8 @@
  * around would-be jumps, wrong-path fetch during stalls, and parked
  * RS entries waking at the jump target. Directed tests pin down the
  * cases randomness hits rarely: a cycle budget expiring inside a
- * would-be jump and the warmup/measure boundary adjoining one.
+ * would-be jump, the warmup/measure boundary adjoining one, and
+ * skips inside CDF and runahead episodes.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +41,7 @@ struct RunImage
     std::uint64_t skippedCycles = 0;
     std::uint64_t skipEvents = 0;
     bool ok = false;
+    sim::RunResult run;
 };
 
 RunImage
@@ -50,7 +52,7 @@ runOnce(const workloads::Workload &workload, ooo::CoreConfig config,
     sim::Simulator simulator(config, workload);
     const sim::RunResult run = simulator.run(spec);
     return {sim::toJson(run).dump(-1), run.skippedCycles,
-            run.skipEvents, run.ok()};
+            run.skipEvents, run.ok(), run};
 }
 
 /**
@@ -252,4 +254,52 @@ TEST(SkipEquivalence, SkipCountersReflectTheKnob)
     EXPECT_GT(on.skipEvents, 0u);
     // Every jump fast-forwards at least one full cycle.
     EXPECT_GE(on.skippedCycles, on.skipEvents);
+}
+
+/**
+ * Skips inside episodes. The CDF fetch gates and PRE's entry test
+ * classify cycles for the skip only while an episode runs or a
+ * runahead entry is pending, so each case must really run an episode,
+ * really skip, and still match ticking byte for byte. mcf spends the
+ * whole window in one CDF episode. astar enters one mid-window with a
+ * 4-entry DBQ, so the critical fetch engine stops on a full DBQ.
+ * Runahead covers nearly every full-window stall once PRE engages
+ * (lbm enters it 7 times here and never skips), so sphinx3 is the
+ * PRE case: 3 episodes, with skips between them.
+ */
+TEST(SkipEquivalence, InsideCdfAndRunaheadEpisodes)
+{
+    struct Case
+    {
+        const char *workload;
+        ooo::CoreMode mode;
+        unsigned dbqEntries;
+    };
+    for (const Case c : {Case{"mcf", ooo::CoreMode::Cdf, 256},
+                         Case{"astar", ooo::CoreMode::Cdf, 4},
+                         Case{"sphinx3", ooo::CoreMode::Pre, 256}}) {
+        const workloads::Workload workload =
+            workloads::makeWorkload(c.workload);
+        ooo::CoreConfig config;
+        config.mode = c.mode;
+        config.cdf.dbqEntries = c.dbqEntries;
+
+        sim::RunSpec spec;
+        spec.warmupInstrs = 1'500;
+        spec.measureInstrs = 2'000;
+        spec.maxCycles = 5'000'000;
+
+        const RunImage off = runOnce(workload, config, spec, false);
+        const RunImage on = runOnce(workload, config, spec, true);
+        const std::string label = c.workload;
+        ASSERT_TRUE(on.ok) << label;
+        if (c.mode == ooo::CoreMode::Cdf) {
+            EXPECT_GT(on.run.core.cdfModeFraction, 0.0) << label;
+        } else {
+            EXPECT_GT(on.run.stats.get("core.runahead_episodes"), 0u)
+                << label;
+        }
+        EXPECT_GT(on.skippedCycles, 0u) << label;
+        expectIdentical(off, on, label);
+    }
 }
