@@ -151,6 +151,52 @@ class CriticalUopCache
     std::uint64_t &evictions_;
 };
 
+/**
+ * A fetch cursor over uop-cache traces (CDF's critical fetch and
+ * PRE's chain fetch): the block to fetch next, and once loaded a
+ * private copy of its trace with the index of the next critical uop
+ * to emit. The trace is copied because a fill-buffer walk may
+ * replace the cached one while the block is still being emitted.
+ */
+struct TraceCursor
+{
+    Addr pc = 0;        //!< first uop of the block to fetch next
+    bool valid = false; //!< trace holds the block at pc
+    BbTrace trace;
+    unsigned idx = 0;   //!< next entry of trace.uops to emit
+
+    /** Copy in the trace of the block at pc; false on a miss. */
+    bool
+    load(CriticalUopCache &cache, Cycle now)
+    {
+        const BbTrace *t = cache.lookup(pc, now);
+        if (!t)
+            return false;
+        trace = *t;
+        valid = true;
+        idx = 0;
+        return true;
+    }
+
+    /** Point at the block starting at @p next, not yet loaded. */
+    void
+    moveTo(Addr next)
+    {
+        pc = next;
+        valid = false;
+        idx = 0;
+    }
+
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(pc, valid, trace, idx);
+    }
+
+    SIM_SNAPSHOT_FIELDS(4);
+};
+
 } // namespace cdfsim::cdf
 
 #endif // CDFSIM_CDF_UOP_CACHE_HH

@@ -75,6 +75,7 @@ WrongPathWalker::WrongPathWalker(const Program &program,
 void
 WrongPathWalker::restart(const RegFile &regs)
 {
+    SIM_ASSERT(!active_, "wrong-path walker restarted while active");
     regs_ = regs;
     storeBuf_.clear();
     active_ = true;

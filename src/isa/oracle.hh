@@ -107,7 +107,8 @@ class WrongPathWalker
   public:
     WrongPathWalker(const Program &program, const MemoryImage &memory);
 
-    /** (Re)start a wrong path from the given register snapshot. */
+    /** Start a wrong path from the given register snapshot. One walk
+     *  at a time: the walker must be inactive (panics otherwise). */
     void restart(const RegFile &regs);
 
     /**

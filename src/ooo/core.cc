@@ -1,7 +1,6 @@
 #include "ooo/core.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -51,8 +50,6 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
       stats_(stats),
       oracle_(program, memory),
       walker_(program, memory),
-      cdfWalker_(program, memory),
-      raWalker_(program, memory),
       mem_(config.mem, stats),
       bp_(config.bp, stats),
       prf_(config.physRegs),
@@ -251,20 +248,24 @@ StageProfile::name(unsigned stage)
 }
 
 void
-Core::tickProfiled()
+Core::tick()
 {
-    using clock = std::chrono::steady_clock;
-    auto last = clock::now();
-    auto lap = [&](StageProfile::Stage s) {
-        const auto t = clock::now();
-        profile_.ns[s] += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t - last)
-                .count());
-        last = t;
-    };
+    if (config_.profileStages)
+        tickAs<true>();
+    else
+        tickAs<false>();
+}
 
-    ++profile_.ticks;
+template <bool kProfiled>
+void
+Core::tickAs()
+{
+    ++now_;
+    ++statCycles_;
+    if constexpr (kProfiled)
+        ++profile_.ticks;
+
+    StageLap<kProfiled> lap{profile_};
     retireStage();
     lap(StageProfile::Retire);
     if (halted_)
@@ -279,26 +280,6 @@ Core::tickProfiled()
     lap(StageProfile::Fetch);
     statsStage();
     lap(StageProfile::Stats);
-}
-
-void
-Core::tick()
-{
-    ++now_;
-    ++statCycles_;
-
-    if (config_.profileStages) {
-        tickProfiled();
-    } else {
-        retireStage();
-        if (halted_)
-            return;
-        completionStage();
-        executeStage();
-        renameStage();
-        fetchStage();
-        statsStage();
-    }
     if (halted_)
         return;
 
@@ -352,11 +333,22 @@ Core::tick()
 CoreResult
 Core::run(std::uint64_t maxRetired, Cycle maxCycles)
 {
+    if (config_.profileStages)
+        runAs<true>(maxRetired, maxCycles);
+    else
+        runAs<false>(maxRetired, maxCycles);
+    return result();
+}
+
+template <bool kProfiled>
+void
+Core::runAs(std::uint64_t maxRetired, Cycle maxCycles)
+{
     while (!halted_ && retiredInstrs_ < maxRetired &&
            now_ < maxCycles) {
         // Fast-forward provably dead cycles. On a jump, re-check the
         // loop condition (the budget may expire inside the gap); the
-        // following tick() then executes the event cycle normally.
+        // following tick then executes the event cycle normally.
         // The quiescence scan is gated on cheap heuristics so busy
         // phases pay a compare, not a scan: a cycle that retired
         // cannot be the start of a dead window, and a failed scan
@@ -364,11 +356,11 @@ Core::run(std::uint64_t maxRetired, Cycle maxCycles)
         // skips — the skipped cycles are pure no-ops either way — so
         // stats stay bit-identical.
         if (config_.skipIdleCycles && now_ > lastRetireCycle_ &&
-            now_ >= skipRecheckAt_ && maybeSkipIdleCycles(maxCycles))
+            now_ >= skipRecheckAt_ &&
+            maybeSkipIdleCycles<kProfiled>(maxCycles))
             continue;
-        tick();
+        tickAs<kProfiled>();
     }
-    return result();
 }
 
 void

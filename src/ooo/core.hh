@@ -8,7 +8,13 @@
  * functional oracle, so the retired instruction stream is correct by
  * construction and checked by assertion (timestamps must retire
  * contiguously). Wrong-path fetch is modelled functionally through
- * WrongPathWalker so speculative memory traffic is realistic.
+ * one WrongPathWalker so speculative memory traffic is realistic. It
+ * has three roles that never overlap: the baseline wrong path, the
+ * wrong path both CDF streams share, and PRE's shadow walk. CDF and
+ * PRE episodes start only while the baseline frontend is on the
+ * correct path, only one frontend fetches at a time, and each role
+ * ends its walk (recovery, episode end) before another can start;
+ * WrongPathWalker::restart panics on a live walk.
  */
 
 #ifndef CDFSIM_OOO_CORE_HH
@@ -16,9 +22,11 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "bp/predictor.hh"
@@ -92,6 +100,30 @@ struct StageProfile
     mem::MemLevelProfile mem;
 
     static const char *name(unsigned stage);
+};
+
+/**
+ * Charges host time to StageProfile rows: each lap(stage) adds the
+ * time since the previous lap (or construction) to that row. With
+ * kOn false it reads no clock, so an unprofiled tick pays nothing.
+ */
+template <bool kOn>
+struct StageLap
+{
+    using clock = std::chrono::steady_clock;
+    StageProfile &profile;
+    clock::time_point last = kOn ? clock::now() : clock::time_point{};
+
+    void
+    operator()(StageProfile::Stage stage)
+    {
+        if constexpr (kOn) {
+            const auto t = clock::now();
+            profile.ns[stage] += static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(t - last).count());
+            last = t;
+        }
+    }
 };
 
 /**
@@ -273,14 +305,21 @@ class Core
   private:
     friend struct cdfsim::AuditPeer; //!< test-only corruption access
 
+    // --- run() and tick(), with or without stage laps ---
+    template <bool kProfiled>
+    void runAs(std::uint64_t maxRetired, Cycle maxCycles);
+    template <bool kProfiled>
+    void tickAs();
+
     // --- Pipeline stages (called in reverse order each tick) ---
-    void tickProfiled();
     void retireStage();
     void completionStage();
     void executeStage();
     void renameStage();
     void renameCritical(unsigned &slots);
-    bool renameRegularOne();
+    /** A replay reading a poisoned register sets @p depViolationTs
+     *  and stops; renameStage recovers. */
+    bool renameRegularOne(SeqNum &depViolationTs);
     void fetchStage();
     void fetchRegularBaseline(unsigned &budget);
     void fetchCriticalCdf(unsigned &budget);
@@ -297,9 +336,14 @@ class Core
     void clearDbqCheckpoints();
 
     // --- Execution helpers ---
+    /** When @p inst's sources are ready (0 if absent, and a memory
+     *  op's src2 never gates issue). */
+    std::pair<Cycle, Cycle> operandsReadyAt(const DynInst *inst) const;
     void issueOne(DynInst *inst);
     bool tryIssueLoad(DynInst *inst);
-    void issueStore(DynInst *inst);
+    /** A violated on-path load goes to an empty @p memViolation;
+     *  executeStage recovers after selection. */
+    void issueStore(DynInst *inst, DynInst *&memViolation);
     void scheduleCompletion(DynInst *inst, Cycle when);
     void finishInst(DynInst *inst);
     void addRsWaiter(RegId reg, const DynInst *inst);
@@ -310,7 +354,9 @@ class Core
     /** Dependence or memory-order violation: flush from @p restartTs
      *  on and refetch it, counting the event in @p stat. */
     void recoverFromViolation(SeqNum restartTs, std::uint64_t &stat);
-    void squashYoungerThan(SeqNum flushTs);
+    /** @p rewindPredictor restores the oldest squashed branch
+     *  checkpoint (violations; a branch restores its own). */
+    void squashYoungerThan(SeqNum flushTs, bool rewindPredictor);
     /** Resume regular fetch at @p ts; a @p flush also charges the
      *  redirect penalty. In CDF mode only the penalty applies: the
      *  CDF cursors carry the redirect. */
@@ -318,6 +364,10 @@ class Core
 
     // --- CDF mode control ---
     void maybeEnterCdfMode(Addr pc, SeqNum seq);
+    /** Restart critical fetch on the correct path at @p pc / @p ts,
+     *  dropping any wrong path (entry, or a recovery CDF survives;
+     *  the caller sets regNextTs_). */
+    void restartCdfFetch(Addr pc, SeqNum ts);
     void drainCriticalFrontend();
     void beginCdfExit();
     void finishCdfExit();
@@ -370,6 +420,7 @@ class Core
      * any cycles were skipped; the caller re-enters the run loop and
      * the next tick() executes the event cycle normally.
      */
+    template <bool kProfiled>
     bool maybeSkipIdleCycles(Cycle maxCycles);
 
     /**
@@ -428,14 +479,14 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(127);
+    SIM_SNAPSHOT_FIELDS(113);
 
     CoreConfig config_;
     StatRegistry &stats_;
     isa::OracleStream oracle_;
-    isa::WrongPathWalker walker_;     //!< regular-mode wrong path
-    isa::WrongPathWalker cdfWalker_;  //!< CDF-mode shared wrong path
-    isa::WrongPathWalker raWalker_;   //!< PRE runahead shadow execution
+    /** Live in one role at a time (file comment): wrongPath_,
+     *  !critOnPath_ or raActive_. */
+    isa::WrongPathWalker walker_;
     mem::MemHierarchy mem_;
     bp::BranchPredictor bp_;
 
@@ -536,16 +587,10 @@ class Core
     SeqNum cdfStartTs_ = 0;
     SeqNum regRenamedThroughTs_ = 0;  //!< last ts regular rename passed
 
-    // Critical fetch cursor. The active trace is COPIED out of the
-    // uop cache: a concurrent fill-buffer walk may replace the
-    // cached trace mid-emission.
-    Addr critFetchPc_ = 0;
+    /** Critical fetch cursor over Critical Uop Cache traces. */
+    cdf::TraceCursor crit_;
     SeqNum critFetchBaseTs_ = 0;   //!< ts of the current BB's first uop
     bool critOnPath_ = true;
-    bool critTraceValid_ = false;
-    cdf::BbTrace critTrace_;
-    unsigned critTraceIdx_ = 0;
-    SeqNum critProcessedThroughTs_ = 0; //!< BBs fully handled
 
     // Regular-stream cursor in CDF mode.
     SeqNum regNextTs_ = 0;
@@ -611,10 +656,8 @@ class Core
     std::unique_ptr<cdf::CriticalCountTable> stallTable_;
     bool raActive_ = false;
     Cycle raEndCycle_ = 0;
-    Addr raPc_ = 0;
-    bool raTraceValid_ = false;
-    cdf::BbTrace raTrace_;
-    unsigned raTraceIdx_ = 0;
+    /** Chain fetch cursor over the PRE uop cache's traces. */
+    cdf::TraceCursor ra_;
     std::vector<isa::ExecRecord> raBbRecs_;
     std::bitset<kNumArchRegs> raTaint_;
     bp::BpCheckpoint raBpCkpt_;
@@ -624,17 +667,6 @@ class Core
     FlatMap<Addr, Addr> lastRetiredLoadAddr_{~Addr{0}};
     Cycle stallStartCycle_ = 0;
     bool stallCounting_ = false;
-
-    // Oldest branch checkpoint found in the last squash, used by the
-    // violation-recovery paths to rewind speculative predictor state.
-    bool squashOldestCkptValid_ = false;
-    SeqNum squashOldestCkptTs_ = 0;
-    bp::BpCheckpoint squashOldestCkpt_;
-
-    // Deferred memory-order violation (processed after RS selection).
-    DynInst *pendingMemViolation_ = nullptr;
-    // Deferred dependence violation detected at rename replay.
-    SeqNum pendingDepViolationTs_ = kInvalidSeq;
 
     // --- Measurement ---
     StageProfile profile_;

@@ -31,16 +31,14 @@ Core::renameStage()
     // has work (Section 3.5); total bandwidth is shared.
     if (config_.mode == CoreMode::Cdf)
         renameCritical(slots);
+    SeqNum depViolationTs = kInvalidSeq;
     while (slots > 0) {
-        if (!renameRegularOne())
+        if (!renameRegularOne(depViolationTs))
             break;
         --slots;
     }
-    if (pendingDepViolationTs_ != kInvalidSeq) {
-        const SeqNum ts = pendingDepViolationTs_;
-        pendingDepViolationTs_ = kInvalidSeq;
-        recoverFromViolation(ts, statDepViolations_);
-    }
+    if (depViolationTs != kInvalidSeq)
+        recoverFromViolation(depViolationTs, statDepViolations_);
 }
 
 Core::RenameGate
@@ -164,7 +162,7 @@ Core::renameCritical(unsigned &slots)
 }
 
 bool
-Core::renameRegularOne()
+Core::renameRegularOne(SeqNum &depViolationTs)
 {
     Cycle unusedBound = kNeverCycle;
     const RenameGate gate = regularRenameGate(unusedBound);
@@ -180,7 +178,7 @@ Core::renameRegularOne()
     // violations (Section 3.6).
     if (inst->cdfFetched && inst->critical) {
         if (rat_.readsPoisoned(inst->uop)) {
-            pendingDepViolationTs_ = inst->ts;
+            depViolationTs = inst->ts;
             return false;
         }
 
@@ -266,6 +264,7 @@ Core::executeStage()
 
     unsigned loads = 0;
     unsigned stores = 0;
+    DynInst *memViolation = nullptr;
 
     auto ready = [&](DynInst *inst) {
         if (inst->state != InstState::Renamed)
@@ -279,18 +278,10 @@ Core::executeStage()
         // awaited register is written.
         if (inst->rsNextTry > now_)
             return false;
-        const Cycle r1 = inst->physSrc1 == kInvalidReg
-                             ? 0
-                             : prf_.readyAt(inst->physSrc1);
-        // Loads need only the address register; store address
-        // generation likewise proceeds without the data. A load
-        // blocked on store-forwarding data re-attempts through
-        // accept() below (the store may retire or its data reg
-        // may be recycled, so no ready-gate is kept on it).
-        const bool memOp = inst->isLoad() || inst->isStore();
-        const Cycle r2 = (memOp || inst->physSrc2 == kInvalidReg)
-                             ? 0
-                             : prf_.readyAt(inst->physSrc2);
+        // A load blocked on store-forwarding data re-attempts
+        // through accept() below (the store may retire or its data
+        // reg may be recycled, so no ready-gate is kept on it).
+        const auto [r1, r2] = operandsReadyAt(inst);
         const Cycle wait = std::max(r1, r2);
         if (wait <= now_)
             return true;
@@ -312,7 +303,7 @@ Core::executeStage()
         } else if (inst->isStore()) {
             if (stores >= config_.maxStoresPerCycle)
                 return false;
-            issueStore(inst);
+            issueStore(inst, memViolation);
             ++stores;
         } else {
             issueOne(inst);
@@ -324,9 +315,8 @@ Core::executeStage()
     rs_.selectAndIssue(config_.issueWidth, ready, accept);
     SIM_AUDIT_ONLY(if (rsAudit_.due()) auditRsWakeupCache();)
 
-    if (pendingMemViolation_) {
-        SeqNum ts = pendingMemViolation_->ts;
-        pendingMemViolation_ = nullptr;
+    if (memViolation) {
+        SeqNum ts = memViolation->ts;
         // In CDF mode, restart from the oldest point the regular
         // stream has not yet fetched: uops older than that exist only
         // in the critical stream and must not be refetched, while
@@ -335,6 +325,20 @@ Core::executeStage()
             ts = std::max<SeqNum>(regNextTs_, 1);
         recoverFromViolation(ts, statMemOrderViolations_);
     }
+}
+
+std::pair<Cycle, Cycle>
+Core::operandsReadyAt(const DynInst *inst) const
+{
+    // Loads need only the address register; store address
+    // generation likewise proceeds without the data.
+    const Cycle r1 =
+        inst->physSrc1 == kInvalidReg ? 0 : prf_.readyAt(inst->physSrc1);
+    const bool memOp = inst->isLoad() || inst->isStore();
+    const Cycle r2 = memOp || inst->physSrc2 == kInvalidReg
+                         ? 0
+                         : prf_.readyAt(inst->physSrc2);
+    return {r1, r2};
 }
 
 void
@@ -377,16 +381,16 @@ Core::tryIssueLoad(DynInst *inst)
 }
 
 void
-Core::issueStore(DynInst *inst)
+Core::issueStore(DynInst *inst, DynInst *&memViolation)
 {
     inst->state = InstState::Issued;
     inst->addrKnown = true;
 
     // Memory-ordering violation search (defer the flush until the
     // RS selection loop has finished).
-    if (inst->onPath && !pendingMemViolation_) {
+    if (inst->onPath && !memViolation) {
         if (DynInst *ld = lsq_.violatingLoad(inst); ld && ld->onPath)
-            pendingMemViolation_ = ld;
+            memViolation = ld;
     }
 
     if (prf_.isReady(inst->physSrc2, now_))
@@ -619,7 +623,7 @@ Core::trainOnRetire(const DynInst *h)
 // ---------------------------------------------------------------------
 
 void
-Core::squashYoungerThan(SeqNum flushTs)
+Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
 {
     // Every in-flight instruction sits in exactly one ts-ordered
     // container — a frontend queue before rename, a ROB section
@@ -678,29 +682,28 @@ Core::squashYoungerThan(SeqNum flushTs)
     // wrong-path basic blocks with no critical uops leave DBQ /
     // wpRecords / BbInfo entries behind without any instruction.
 
-    // Keep the oldest squashed branch checkpoint so violation
-    // recoveries can rewind the predictor's speculative history.
-    // Copied once, before the squash frees the pool slots.
-    SeqNum oldestTs = 0;
-    std::uint32_t oldest = kNoInst;
-    const auto noteCkpt = [&](SeqNum ts, std::uint32_t ckpt) {
-        if (oldest == kNoInst || ts < oldestTs) {
-            oldestTs = ts;
-            oldest = ckpt;
+    // A violation recovery rewinds the predictor's speculative
+    // history to the oldest squashed branch checkpoint, read before
+    // the squash frees the pool slots.
+    if (rewindPredictor) {
+        SeqNum oldestTs = 0;
+        std::uint32_t oldest = kNoInst;
+        const auto noteCkpt = [&](SeqNum ts, std::uint32_t ckpt) {
+            if (oldest == kNoInst || ts < oldestTs) {
+                oldestTs = ts;
+                oldest = ckpt;
+            }
+        };
+        for (const DynInst *inst : squashed_) {
+            if (inst->hasBpCheckpoint())
+                noteCkpt(inst->ts, inst->bpCkpt);
         }
-    };
-    for (const DynInst *inst : squashed_) {
-        if (inst->hasBpCheckpoint())
-            noteCkpt(inst->ts, inst->bpCkpt);
-    }
-    for (const DbqCheckpoint &c : dbqCkpts_) {
-        if (c.ts > flushTs)
-            noteCkpt(c.ts, c.ckpt);
-    }
-    squashOldestCkptValid_ = oldest != kNoInst;
-    if (squashOldestCkptValid_) {
-        squashOldestCkptTs_ = oldestTs;
-        squashOldestCkpt_ = bpCkptPool_.at(oldest);
+        for (const DbqCheckpoint &c : dbqCkpts_) {
+            if (c.ts > flushTs)
+                noteCkpt(c.ts, c.ckpt);
+        }
+        if (oldest != kNoInst)
+            bp_.restore(bpCkptPool_.at(oldest));
     }
     // Completion heap: drain in heap order, keep survivors. The
     // drained sequence is ascending, so the survivor vector is
@@ -734,8 +737,6 @@ Core::squashYoungerThan(SeqNum flushTs)
 
     std::erase_if(pendingStores_,
                   [&](const DynInst *st) { return st->doomed; });
-    if (pendingMemViolation_ && pendingMemViolation_->doomed)
-        pendingMemViolation_ = nullptr;
 
     rob_.flushYounger(flushTs);
     rs_.flushYounger(flushTs);
@@ -835,7 +836,7 @@ Core::recoverFromBranch(DynInst *branch)
     if (raActive_)
         exitRunahead(); // before the checkpoint rewind below
 
-    squashYoungerThan(flushTs);
+    squashYoungerThan(flushTs, false);
     SIM_ASSERT(branch->hasBpCheckpoint(), "branch without checkpoint");
     bp_.recover(bpCkptPool_.at(branch->bpCkpt), branch->taken,
                 branch->pc);
@@ -850,26 +851,15 @@ Core::recoverFromBranch(DynInst *branch)
 
     // CDF mode survives the mispredict (Section 3.6): fix the DBQ
     // entry so the regular stream follows the corrected path, and
-    // restart critical fetch there.
+    // restart both streams there.
     for (std::size_t i = 0; i < dbq_->size(); ++i) {
         if (dbq_->at(i).ts == branch->ts) {
             dbq_->at(i).taken = branch->taken;
             dbq_->at(i).target = branch->actualTarget;
         }
     }
-    critOnPath_ = true;
-    cdfWalker_.deactivate();
-    critTraceValid_ = false;
-    critTraceIdx_ = 0;
-    critFetchPc_ = branch->actualTarget;
-    critFetchBaseTs_ = branch->ts + 1;
-    critCoveredUpTo_ = branch->ts + 1;
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
-    regWrongPath_ = false;
-    if (regNextTs_ > branch->ts + 1)
-        regNextTs_ = branch->ts + 1;
-    cdfDraining_ = false;
+    restartCdfFetch(branch->actualTarget, branch->ts + 1);
+    regNextTs_ = std::min(regNextTs_, branch->ts + 1);
 }
 
 void
@@ -881,9 +871,7 @@ Core::recoverFromViolation(SeqNum restartTs, std::uint64_t &stat)
     // dependence violation (CDF mode only).
     if (raActive_)
         exitRunahead();
-    squashYoungerThan(restartTs - 1);
-    if (squashOldestCkptValid_)
-        bp_.restore(squashOldestCkpt_);
+    squashYoungerThan(restartTs - 1, true);
     abortCdfMode();
     redirectFetch(restartTs, true);
 }

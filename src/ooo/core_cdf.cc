@@ -70,24 +70,12 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
                dbq_->empty() ? 0 : dbq_->front().ts);
 
     cdfMode_ = true;
-    cdfDraining_ = false;
     ++statCdfEpisodes_;
 
     cdfStartTs_ = seq;
     critRatCopied_ = false;
-
-    critFetchPc_ = pc;
-    critFetchBaseTs_ = seq;
-    critOnPath_ = true;
-    critTraceValid_ = false;
-    critTraceIdx_ = 0;
-    critCoveredUpTo_ = seq;
-
+    restartCdfFetch(pc, seq);
     regNextTs_ = seq;
-    regWrongPath_ = false;
-    critWpStuck_ = false;
-    wpRecords_.clear();
-    wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
     clearDbqCheckpoints();
     criticalByTs_.clear();
@@ -96,10 +84,24 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
 }
 
 void
+Core::restartCdfFetch(Addr pc, SeqNum ts)
+{
+    crit_.moveTo(pc);
+    critFetchBaseTs_ = ts;
+    critOnPath_ = true;
+    walker_.deactivate();
+    critWpStuck_ = false;
+    critCoveredUpTo_ = ts;
+    regWrongPath_ = false;
+    wpRecords_.clear();
+    wpConsumeIdx_ = 0;
+    cdfDraining_ = false;
+}
+
+void
 Core::beginCdfExit()
 {
     cdfDraining_ = true;
-    critTraceValid_ = false;
     cdfCooldownUntil_ = now_ + config_.cdf.reentryCooldown;
 }
 
@@ -144,9 +146,8 @@ Core::endCdfEpisode()
     cdfMode_ = false;
     cdfDraining_ = false;
     drainCriticalFrontend();
-    critTraceValid_ = false;
     critWpStuck_ = false;
-    cdfWalker_.deactivate();
+    walker_.deactivate();
     critOnPath_ = true;
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
@@ -203,57 +204,53 @@ Core::fetchCriticalCdf(unsigned &budget)
             return;
 
         // Acquire (and copy) the trace for the block at the cursor.
-        if (!critTraceValid_) {
-            const cdf::BbTrace *t =
-                uopCache_->lookup(critFetchPc_, now_);
-            if (!t) {
+        if (!crit_.valid) {
+            if (!crit_.load(*uopCache_, now_)) {
                 ++statCdfExitsUopMiss_;
                 beginCdfExit();
                 return;
             }
-            critTrace_ = *t;
-            critTraceValid_ = true;
-            critTraceIdx_ = 0;
 
             if (!critOnPath_) {
                 // Wrong path: functionally walk the whole block now
                 // so the regular stream has records to consume.
                 // Commit records only if the whole block is walkable.
                 const std::size_t base = wpRecords_.size();
-                for (unsigned off = 0; off < critTrace_.blockLength;
+                for (unsigned off = 0; off < crit_.trace.blockLength;
                      ++off) {
-                    const Addr pc = critTrace_.startPc + off;
+                    const Addr pc = crit_.trace.startPc + off;
                     if (!oracle_.program().walkable(pc)) {
                         wpRecords_.resize(base);
-                        critTraceValid_ = false;
+                        crit_.valid = false;
                         critWpStuck_ = true;
                         return;
                     }
-                    wpRecords_.push_back({cdfWalker_.execute(pc),
+                    wpRecords_.push_back({walker_.execute(pc),
                                           critWpNextTs_ + off, false});
                 }
-                critWpNextTs_ += critTrace_.blockLength;
+                critWpNextTs_ += crit_.trace.blockLength;
                 critWpBbBase_ = base;
-                for (const auto &tu : critTrace_.uops) {
+                for (const auto &tu : crit_.trace.uops) {
                     wpRecords_[critWpBbBase_ + tu.offsetInBlock]
                         .critical = true;
                 }
             } else {
                 // On-path: publish this BB's criticality bits for
                 // the regular fetch stream.
-                bbInfoQ_.emplace_back().assign(critTrace_,
+                bbInfoQ_.emplace_back().assign(crit_.trace,
                                                critFetchBaseTs_);
             }
         }
 
-        const unsigned len = critTrace_.blockLength;
-        const bool lastUopIsBranch = critTrace_.endsInBranch;
+        const cdf::BbTrace &trace = crit_.trace;
+        const unsigned len = trace.blockLength;
+        const bool lastUopIsBranch = trace.endsInBranch;
 
         // Emit critical uops of the current trace. The terminating
         // branch (if critical) is emitted during finalization below
         // so its prediction state is attached atomically.
-        while (critTraceIdx_ < critTrace_.uops.size()) {
-            const cdf::TraceUop &tu = critTrace_.uops[critTraceIdx_];
+        while (crit_.idx < trace.uops.size()) {
+            const cdf::TraceUop &tu = trace.uops[crit_.idx];
             if (lastUopIsBranch && tu.offsetInBlock == len - 1)
                 break; // leave the branch for finalization
             if (budget == 0 || critQ_.full())
@@ -268,8 +265,7 @@ Core::fetchCriticalCdf(unsigned &budget)
                     return;
                 }
                 rec = &oracle_.at(ts);
-                SIM_ASSERT(rec->pc ==
-                               critTrace_.startPc + tu.offsetInBlock,
+                SIM_ASSERT(rec->pc == trace.startPc + tu.offsetInBlock,
                            "critical fetch desynchronized from oracle");
             } else {
                 const WpRecord &w =
@@ -284,7 +280,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             inst->cdfFetched = true;
             critQ_.push(inst);
             --budget;
-            ++critTraceIdx_;
+            ++crit_.idx;
         }
 
         // Finalize the basic block.
@@ -298,14 +294,14 @@ Core::fetchCriticalCdf(unsigned &budget)
         }
 
         const bool branchCritical =
-            !critTrace_.uops.empty() &&
-            critTrace_.uops.back().offsetInBlock == len - 1;
+            !trace.uops.empty() &&
+            trace.uops.back().offsetInBlock == len - 1;
         if (branchCritical && (budget == 0 || critQ_.full()))
             return; // need a slot for the branch uop next cycle
 
         // Predict the block-terminating branch exactly once
         // (Section 3.3) and log it in the DBQ.
-        const Addr branchPc = critTrace_.branchPc;
+        const Addr branchPc = trace.branchPc;
         const isa::Uop &buop = oracle_.program().at(branchPc);
         SIM_ASSERT(buop.isBranch(), "trace branchPc is not a branch");
 
@@ -357,15 +353,13 @@ Core::fetchCriticalCdf(unsigned &budget)
             critCoveredUpTo_ = critFetchBaseTs_ + len;
             if (misp) {
                 critOnPath_ = false;
-                cdfWalker_.restart(oracle_.frontierRegs());
+                walker_.restart(oracle_.frontierRegs());
                 critWpNextTs_ = branchTs + 1;
             } else {
                 critFetchBaseTs_ += len;
             }
         }
-        critFetchPc_ = nextPc;
-        critTraceValid_ = false;
-        critTraceIdx_ = 0;
+        crit_.moveTo(nextPc);
 
         // Chaining to the next trace costs one slot of uop-cache
         // bandwidth even when the block contributed no critical

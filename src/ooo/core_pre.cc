@@ -91,11 +91,9 @@ Core::maybeEnterRunahead(const DynInst *head)
     raActive_ = true;
     ++statRunaheadEpisodes_;
     raEndCycle_ = head->completionCycle;
-    raTraceValid_ = false;
-    raTraceIdx_ = 0;
     raEpisodeLoads_ = 0;
     raBpCkpt_ = bp_.checkpoint();
-    raWalker_.restart(oracle_.frontierRegs());
+    walker_.restart(oracle_.frontierRegs());
 
     // Runahead only has the values that are actually available in
     // the physical registers: any architectural register whose
@@ -131,17 +129,16 @@ Core::maybeEnterRunahead(const DynInst *head)
         if (!oracle_.program().walkable(pc))
             break;
         propagateTaint(raTaint_, oracle_.program().at(pc));
-        pc = raWalker_.execute(pc).nextPc;
+        pc = walker_.execute(pc).nextPc;
     }
-    raPc_ = pc;
+    ra_.moveTo(pc);
 }
 
 void
 Core::exitRunahead()
 {
     raActive_ = false;
-    raTraceValid_ = false;
-    raWalker_.deactivate();
+    walker_.deactivate();
     // Branch predictions made while fetching chains are speculative
     // only; restore the checkpoint taken at entry.
     bp_.restore(raBpCkpt_);
@@ -163,28 +160,24 @@ Core::runaheadStep(unsigned &budget)
         return;
 
     while (budget > 0) {
-        if (!raTraceValid_) {
-            const cdf::BbTrace *t = uopCache_->lookup(raPc_, now_);
-            if (!t) {
+        if (!ra_.valid) {
+            if (!ra_.load(*uopCache_, now_)) {
                 ++statRunaheadTraceMiss_;
                 return; // no chain to fetch from here
             }
-            raTrace_ = *t;
-            raTraceValid_ = true;
-            raTraceIdx_ = 0;
 
             // Shadow-execute the whole block, propagating taint.
             raBbRecs_.clear();
-            raBbRecs_.reserve(raTrace_.blockLength);
-            for (unsigned off = 0; off < raTrace_.blockLength;
+            raBbRecs_.reserve(ra_.trace.blockLength);
+            for (unsigned off = 0; off < ra_.trace.blockLength;
                  ++off) {
-                const Addr pc = raTrace_.startPc + off;
+                const Addr pc = ra_.trace.startPc + off;
                 if (!oracle_.program().walkable(pc)) {
-                    raTraceValid_ = false;
+                    ra_.valid = false;
                     return; // unwalkable: runahead idles
                 }
                 const isa::Uop &uop = oracle_.program().at(pc);
-                isa::ExecRecord rec = raWalker_.execute(pc);
+                isa::ExecRecord rec = walker_.execute(pc);
                 const bool tainted = propagateTaint(raTaint_, uop);
                 // A load whose address chain involves an
                 // unavailable register computes with stale values:
@@ -205,8 +198,9 @@ Core::runaheadStep(unsigned &budget)
         }
 
         // Issue the chain (critical) uops of the block.
-        while (raTraceIdx_ < raTrace_.uops.size() && budget > 0) {
-            const cdf::TraceUop &tu = raTrace_.uops[raTraceIdx_];
+        const cdf::BbTrace &trace = ra_.trace;
+        while (ra_.idx < trace.uops.size() && budget > 0) {
+            const cdf::TraceUop &tu = trace.uops[ra_.idx];
             const isa::ExecRecord &rec =
                 raBbRecs_[tu.offsetInBlock];
             if (rec.uop.isLoad()) {
@@ -214,7 +208,7 @@ Core::runaheadStep(unsigned &budget)
                     return; // load ports exhausted this cycle
                 ++statRunaheadUops_;
                 --budget;
-                ++raTraceIdx_;
+                ++ra_.idx;
                 ++statRunaheadLoads_;
                 ++raChainLoads_;
                 ++raEpisodeLoads_;
@@ -231,28 +225,26 @@ Core::runaheadStep(unsigned &budget)
             } else {
                 ++statRunaheadUops_;
                 --budget;
-                ++raTraceIdx_;
+                ++ra_.idx;
             }
         }
-        if (raTraceIdx_ < raTrace_.uops.size())
+        if (ra_.idx < trace.uops.size())
             return; // budget exhausted mid-block
 
         // Chain to the next block via a (speculative) prediction.
-        if (!raTrace_.endsInBranch) {
-            raTraceValid_ = false;
+        if (!trace.endsInBranch) {
+            ra_.valid = false;
             return; // cannot chain further this stall
         }
-        const Addr branchPc = raTrace_.branchPc;
+        const Addr branchPc = trace.branchPc;
         const isa::Uop &buop = oracle_.program().at(branchPc);
         auto pred = bp_.predict(branchPc, buop);
-        raPc_ = pred.taken ? pred.target : branchPc + 1;
-        raTraceValid_ = false;
-        raTraceIdx_ = 0;
+        ra_.moveTo(pred.taken ? pred.target : branchPc + 1);
         // Chaining costs a slot of chain-fetch bandwidth even for
         // blocks that contributed no chain uops (bounds this loop).
         if (budget > 0)
             --budget;
-        if (!oracle_.program().validPc(raPc_))
+        if (!oracle_.program().validPc(ra_.pc))
             return;
     }
 }

@@ -38,7 +38,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/logging.hh"
 #include "ooo/core.hh"
@@ -63,12 +62,6 @@ Core::nextEventCycle()
     // skippable: both fetch engines and the partition controller are
     // modelled below.
     if (halted_ || raActive_ || config_.observeCriticality)
-        return tickNext;
-
-    // Deferred violations are consumed in the same tick they are
-    // set; a leftover means the next tick acts on it.
-    if (pendingMemViolation_ != nullptr ||
-        pendingDepViolationTs_ != kInvalidSeq)
         return tickNext;
 
     // Post-episode partition release runs every cycle while the
@@ -242,13 +235,11 @@ Core::bulkAccountSkippedCycles(std::uint64_t n)
     }
 }
 
+template <bool kProfiled>
 bool
 Core::maybeSkipIdleCycles(Cycle maxCycles)
 {
-    using clock = std::chrono::steady_clock;
-    const bool prof = config_.profileStages;
-    const auto t0 = prof ? clock::now() : clock::time_point{};
-
+    StageLap<kProfiled> lap{profile_};
     bool skipped = false;
     Cycle target = nextEventCycle();
 
@@ -289,14 +280,12 @@ Core::maybeSkipIdleCycles(Cycle maxCycles)
     if (!skipped)
         skipRecheckAt_ = now_ + 4;
 
-    if (prof) {
-        profile_.ns[StageProfile::Skip] += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                clock::now() - t0)
-                .count());
-    }
+    lap(StageProfile::Skip);
     return skipped;
 }
+
+template bool Core::maybeSkipIdleCycles<true>(Cycle);
+template bool Core::maybeSkipIdleCycles<false>(Cycle);
 
 /**
  * RS wakeup-cache audit (see ROADMAP "audit coverage growth"; the
@@ -324,13 +313,7 @@ Core::auditRsWakeupCache() const
     rs_.forEach([&](const DynInst *inst) {
         SIM_ASSERT(inst->state == InstState::Renamed,
                    "RS entry ts ", inst->ts, " is not in Renamed state");
-        const Cycle r1 = inst->physSrc1 == kInvalidReg
-                             ? 0
-                             : prf_.readyAt(inst->physSrc1);
-        const bool memOp = inst->isLoad() || inst->isStore();
-        const Cycle r2 = (memOp || inst->physSrc2 == kInvalidReg)
-                             ? 0
-                             : prf_.readyAt(inst->physSrc2);
+        const auto [r1, r2] = operandsReadyAt(inst);
         const Cycle wait = std::max(r1, r2);
         if (inst->rsNextTry == kNeverCycle) {
             SIM_ASSERT(wait == kNeverCycle,
@@ -345,9 +328,10 @@ Core::auditRsWakeupCache() const
                         registered = true;
                 }
             };
+            // A memory op's data source reads as ready (r2 == 0), so
+            // it is never searched.
             findWaiter(inst->physSrc1, r1);
-            if (!memOp)
-                findWaiter(inst->physSrc2, r2);
+            findWaiter(inst->physSrc2, r2);
             SIM_ASSERT(registered,
                        "RS entry ts ", inst->ts,
                        " parked with no live waiter registration");

@@ -9,12 +9,16 @@
  * one deliberate exception: the branch-checkpoint and in-flight slab
  * pools come FIRST so restore can re-materialize every checkpoint
  * and DynInst before anything that references them by pool handle
- * is decoded. Host-only measurement state (stage profile, idle-skip
- * bookkeeping, audit samplers, the squash scratch buffer) is
- * excluded, which keeps the payload independent of the
- * profileStages/skipIdleCycles host knobs; those counters are reset
- * to zero on restore. The stat registry is snapshotted by the owning
- * Simulator, never here.
+ * is decoded. The one wrong-path walker and the two trace cursors
+ * (critical fetch, PRE chain fetch) travel whole, live or idle. A
+ * snapshot is taken between ticks, so state that lives only inside
+ * a tick (the deferred violations, the squash's oldest checkpoint)
+ * is not a member and never on the wire. Host-only measurement
+ * state (stage profile, idle-skip bookkeeping, audit samplers, the
+ * squash scratch buffer) is excluded, which keeps the payload
+ * independent of the profileStages/skipIdleCycles host knobs; those
+ * counters are reset to zero on restore. The stat registry is
+ * snapshotted by the owning Simulator, never here.
  */
 
 #include <cstdint>
@@ -85,8 +89,7 @@ Core::fields(Ar &ar)
     };
 
     // Functional front, memory system, predictors, rename state.
-    ar(oracle_, walker_, cdfWalker_, raWalker_, mem_, bp_, prf_, rat_,
-       critRat_);
+    ar(oracle_, walker_, mem_, bp_, prf_, rat_, critRat_);
 
     // The pools before anything that references them.
     ar(bpCkptPool_, inflightPool_, inflightHead_, inflightTail_);
@@ -134,10 +137,9 @@ Core::fields(Ar &ar)
 
     // CDF scalars and queues.
     ar(cdfMode_, cdfDraining_, cdfCooldownUntil_, critRatCopied_,
-       cdfStartTs_, regRenamedThroughTs_, critFetchPc_,
-       critFetchBaseTs_, critOnPath_, critTraceValid_, critTrace_,
-       critTraceIdx_, critProcessedThroughTs_, regNextTs_,
-       regWrongPath_, critCoveredUpTo_, critWpNextTs_, critWpBbBase_);
+       cdfStartTs_, regRenamedThroughTs_, crit_, critFetchBaseTs_,
+       critOnPath_, regNextTs_, regWrongPath_, critCoveredUpTo_,
+       critWpNextTs_, critWpBbBase_);
     criticalByTs_.fields(ar, inst);
     ar(sized<std::uint32_t>(bbInfoQ_), sized<std::uint32_t>(wpRecords_),
        wpConsumeIdx_, sized<std::uint32_t>(dbqCkpts_), critWpStuck_);
@@ -145,15 +147,9 @@ Core::fields(Ar &ar)
     // PRE machinery. raTaint_ is a bitset<kNumArchRegs>: one u64.
     presence(ar, stallTable_);
     ifPresent(ar, stallTable_);
-    ar(raActive_, raEndCycle_, raPc_, raTraceValid_, raTrace_,
-       raTraceIdx_, sized<std::uint32_t>(raBbRecs_), raTaint_,
-       raBpCkpt_, raChainLoads_, raEpisodeLoads_, lastRetiredLoadAddr_,
-       stallStartCycle_, stallCounting_);
-
-    // Squash/violation deferred state.
-    ar(squashOldestCkptValid_, squashOldestCkptTs_, squashOldestCkpt_);
-    inst(ar, pendingMemViolation_);
-    ar(pendingDepViolationTs_);
+    ar(raActive_, raEndCycle_, ra_, sized<std::uint32_t>(raBbRecs_),
+       raTaint_, raBpCkpt_, raChainLoads_, raEpisodeLoads_,
+       lastRetiredLoadAddr_, stallStartCycle_, stallCounting_);
 
     // Measurement accounting that feeds result(). The stage profile
     // and skip bookkeeping are host-only and excluded by design.

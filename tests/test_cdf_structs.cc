@@ -251,6 +251,52 @@ TEST(CriticalUopCache, EmptyTraceOccupiesOneLine)
     EXPECT_EQ(t->blockLength, 6u);
 }
 
+TEST(TraceCursor, LoadCopiesMoveToInvalidates)
+{
+    StatRegistry s;
+    UopCacheConfig cfg;
+    cfg.fillLatency = 0;
+    CriticalUopCache uc(cfg, s);
+    uc.insert(makeTrace(0x10, 4, {0, 2}), 0);
+
+    TraceCursor c;
+    c.moveTo(0x20);
+    EXPECT_FALSE(c.load(uc, 1)); // miss: nothing loaded
+    EXPECT_FALSE(c.valid);
+    EXPECT_EQ(s.get("uop_cache.misses"), 1u);
+
+    c.moveTo(0x10);
+    ASSERT_TRUE(c.load(uc, 1));
+    EXPECT_TRUE(c.valid);
+    EXPECT_EQ(c.idx, 0u);
+    EXPECT_EQ(c.trace.uops.size(), 2u);
+    c.idx = 1; // one uop emitted
+
+    // A fill replacing the cached trace mid-emission leaves the
+    // cursor's copy alone.
+    uc.insert(makeTrace(0x10, 4, {0, 1, 2, 3}), 2);
+    EXPECT_EQ(c.trace.uops.size(), 2u);
+    EXPECT_EQ(c.idx, 1u);
+
+    // The copy survives a snapshot round trip.
+    SnapWriter w;
+    w(c);
+    TraceCursor restored;
+    SnapReader r(w.bytes());
+    r(restored);
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(restored.pc, 0x10u);
+    EXPECT_TRUE(restored.valid);
+    EXPECT_EQ(restored.idx, 1u);
+    EXPECT_EQ(restored.trace.uops.size(), 2u);
+    EXPECT_EQ(restored.trace.uops[1].offsetInBlock, 2u);
+
+    c.moveTo(0x30);
+    EXPECT_EQ(c.pc, 0x30u);
+    EXPECT_FALSE(c.valid);
+    EXPECT_EQ(c.idx, 0u);
+}
+
 // --- FillBuffer: backwards dataflow walk ---
 
 namespace

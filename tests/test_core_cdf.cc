@@ -7,9 +7,28 @@
 
 #include <gtest/gtest.h>
 
+#include "common/audit.hh"
 #include "ooo/core.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
+
+namespace cdfsim
+{
+
+/** Test-only access to the critical fetch engine's wrong-path state
+ *  (Core befriends AuditPeer). */
+struct AuditPeer
+{
+    static bool
+    critWrongPath(const ooo::Core &c)
+    {
+        return c.cdfMode_ && !c.critOnPath_;
+    }
+
+    static bool &critWpStuck(ooo::Core &c) { return c.critWpStuck_; }
+};
+
+} // namespace cdfsim
 
 using namespace cdfsim;
 
@@ -151,6 +170,37 @@ TEST(CoreCdf, BranchMarkingKnobChangesCriticalStream)
     // With branch marking the critical stream resolves mispredicts
     // early; astar (hard value branch) must benefit.
     EXPECT_GT(rb.core.ipc, rn.core.ipc * 0.99);
+}
+
+TEST(CoreCdf, RecoveryClearsStuckWrongPathWalk)
+{
+    // A wrong-path critical walk that ran into unwalkable code stops
+    // critical fetch (critWpStuck_). When the divergence recovers and
+    // the episode survives, critical fetch restarts on the correct
+    // path, so the flag must go; a stale one leaves the regular
+    // stream waiting on the critical lead until the watchdog fires.
+    ooo::CoreConfig cfg = cdfConfig();
+    cfg.deadlockCycles = 10'000;
+    sim::Simulator sim(cfg, workloads::makeWorkload("astar"));
+    ooo::Core &core = sim.core();
+
+    bool survived = false;
+    for (int divergence = 0; divergence < 50 && !survived; ++divergence) {
+        for (int i = 0; i < 1'000'000 && !AuditPeer::critWrongPath(core);
+             ++i)
+            core.tick();
+        ASSERT_TRUE(AuditPeer::critWrongPath(core))
+            << "no critical-stream wrong path on astar/cdf";
+        AuditPeer::critWpStuck(core) = true;
+        while (AuditPeer::critWrongPath(core))
+            core.tick();
+        // An aborted episode clears the flag on its own; only a
+        // recovery inside the episode tests the restart.
+        survived = core.inCdfMode();
+    }
+    ASSERT_TRUE(survived) << "every divergence ended its CDF episode";
+    EXPECT_FALSE(AuditPeer::critWpStuck(core));
+    EXPECT_NO_THROW(core.run(core.retired() + 50'000));
 }
 
 TEST(CorePre, RunaheadPrefetchesComputableChains)

@@ -346,6 +346,24 @@ TEST(WrongPathWalker, InactiveUsePanics)
     EXPECT_THROW(walker.execute(0), PanicError);
 }
 
+TEST(WrongPathWalker, RestartWhileActivePanics)
+{
+    // The core runs one walk at a time (baseline wrong path, CDF's
+    // shared wrong path or PRE's shadow walk): starting a second walk
+    // over a live one is a bug, not a reset.
+    ProgramBuilder b("wp5");
+    b.halt();
+    auto p = b.build();
+    MemoryImage mem;
+    WrongPathWalker walker(p, mem);
+    RegFile regs{};
+    walker.restart(regs);
+    EXPECT_THROW(walker.restart(regs), PanicError);
+    walker.deactivate();
+    EXPECT_NO_THROW(walker.restart(regs));
+    EXPECT_TRUE(walker.active());
+}
+
 TEST(WrongPathWalker, SharedEvaluateMatchesInterpreter)
 {
     // The walker and interpreter share evaluate(); a quick spot
