@@ -65,29 +65,6 @@ BM_MlpSample(benchmark::State &state)
 }
 BENCHMARK(BM_MlpSample);
 
-// The retire-time LLC classifier: repeated probes of a small working
-// set with no intervening fills (the common case inside one retire
-// burst).
-static void
-BM_WouldMissLlc(benchmark::State &state)
-{
-    StatRegistry stats;
-    mem::MemHierarchy mh(mem::HierarchyConfig{}, stats);
-    Random rng(5);
-    Cycle now = 0;
-    for (int i = 0; i < 4096; ++i) {
-        mh.dataAccess(rng.below(1 << 16) * 64,
-                      mem::AccessKind::DemandLoad, now += 4);
-    }
-    Addr probes[64];
-    for (Addr &a : probes)
-        a = rng.below(1 << 16) * 64;
-    std::size_t i = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mh.wouldMissLlc(probes[i++ & 63]));
-}
-BENCHMARK(BM_WouldMissLlc);
-
 static void
 BM_DramAccess(benchmark::State &state)
 {

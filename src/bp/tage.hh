@@ -190,6 +190,7 @@ class Tage
         ar(std::span(scTable_), history_, pathHistory_, allocTick_);
         for (FoldedHistory &f : folds_)
             ar(f.full, f.partial, f.length, f.bits, f.nFull, f.rem);
+        ar(foldAudit_);
     }
 
   private:

@@ -92,8 +92,9 @@ class CriticalCountTable
      */
     void auditInvariants() const;
 
-    /** Snapshot entries and the threshold/LRU state (geometry and
-     *  counter widths are config-fixed and excluded). */
+    /** Snapshot entries, the threshold/LRU state and the audit
+     *  sampler (geometry and counter widths are config-fixed and
+     *  excluded). */
     template <typename Ar>
     void
     fields(Ar &ar)
@@ -107,7 +108,7 @@ class CriticalCountTable
                 e.permissive.set(permissive);
             }
         }
-        ar(tick_, mode_);
+        ar(tick_, mode_, audit_);
     }
 
   private:

@@ -74,15 +74,15 @@ class MaskCache
      */
     void auditInvariants() const;
 
-    /** Snapshot entries and the LRU/reset clocks (geometry is
-     *  config-fixed and excluded). */
+    /** Snapshot entries, the LRU/reset clocks and the audit
+     *  sampler (geometry is config-fixed and excluded). */
     template <typename Ar>
     void
     fields(Ar &ar)
     {
         for (Entry &e : entries_)
             ar(e.valid, e.tag, e.mask, e.lruTick);
-        ar(tick_, lastReset_);
+        ar(tick_, lastReset_, audit_);
     }
 
   private:

@@ -1,8 +1,8 @@
 /**
  * @file
  * SIM_AUDIT: runtime invariant instrumentation for the hand-rolled
- * hot-path structures (SlabPool, FlatMap, the cycle rings, the
- * completion heap, TAGE's folded histories).
+ * hot-path structures (SlabPool, FlatMap, the completion-cycle list,
+ * the completion heap, TAGE's folded histories).
  *
  * The stat gate (tests/test_stat_gate) proves the simulator's numbers
  * are bit-identical across refactors, but "golden" numbers can still
@@ -34,6 +34,7 @@
 #include <cstdint>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 // Defined to 1 globally by -DSIM_AUDIT=ON (or the Audit build type)
 // and per-target by tests that exercise the macro layer itself.
@@ -97,7 +98,19 @@ class AuditSampler
 
     std::uint32_t interval() const { return interval_; }
 
+    /** Snapshot the call count (the interval is the owner's), so a
+     *  restored Audit run walks at the same operations as a cold
+     *  one. Release builds never tick, so they save zero. */
+    template <typename Ar>
+    void
+    fields(Ar &ar)
+    {
+        ar(count_);
+    }
+
   private:
+    SIM_SNAPSHOT_FIELDS(2);
+
     std::uint32_t interval_;
     std::uint32_t count_ = 0;
 };

@@ -171,6 +171,7 @@ class FlatMap
             ar(as<std::uint64_t>(s.key));
             elem(ar, s.val);
         }
+        ar(auditTick_);
         SIM_AUDIT_ONLY(if constexpr (Ar::kLoading) auditInvariants();)
     }
 

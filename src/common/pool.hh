@@ -196,6 +196,7 @@ class SlabPool
             }
             elem(ar, at(i));
         }
+        ar(auditTick_);
         SIM_AUDIT_ONLY(if constexpr (Ar::kLoading) auditInvariants();)
     }
 

@@ -27,7 +27,6 @@ Cache::Cache(const CacheConfig &config, StatRegistry &stats)
                 : config.sizeBytes / (kLineBytes * config.ways)),
       setMask_(sets_ - 1),
       mshrCap_(config.mshrs),
-      mshrs_(config.mshrs),
       accesses_(stats.counter(config.name + ".accesses")),
       hits_(stats.counter(config.name + ".hits")),
       misses_(stats.counter(config.name + ".misses")),
@@ -103,7 +102,6 @@ Cache::invalidate(Addr addr)
     for (unsigned w = 0; w < ways_; ++w) {
         if (base[w].valid && base[w].lineAddr == line) {
             base[w].valid = false;
-            ++tagGen_;
             return;
         }
     }
@@ -116,7 +114,7 @@ Cache::markDirty(Addr addr)
     Way *base = &tags_[setIndex(line) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
         if (base[w].valid && base[w].lineAddr == line) {
-            base[w].dirty = true; // presence unchanged: no gen bump
+            base[w].dirty = true;
             return;
         }
     }

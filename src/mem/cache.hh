@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/audit.hh"
-#include "common/cycle_ring.hh"
+#include "common/cycle_list.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -119,15 +119,11 @@ class Cache
             ++prefIssued_;
 
         // MSHR backpressure: a full MSHR file delays the request
-        // until the earliest outstanding miss completes. The ring is
-        // sorted, so "earliest" is its front — no scan.
+        // until the earliest outstanding miss completes. After the
+        // prune every live MSHR completes in the future, so a full
+        // file can only ever push the start cycle forward.
         Cycle start = now + latency_;
         mshrs_.pruneUpTo(now);
-        // Ring/backpressure agreement: after the prune every live
-        // MSHR completes in the future, so a full file can only ever
-        // push the start cycle forward.
-        SIM_AUDIT(mshrs_.empty() || mshrs_.earliest() > now,
-                  "MSHR ring retains a completed miss after prune");
         if (mshrs_.size() >= mshrCap_) {
             const Cycle earliest = mshrs_.earliest();
             if (earliest > start) {
@@ -154,7 +150,6 @@ class Cache
         victim->ready = fillReady;
         victim->prefetched = isPrefetch;
         touch(*victim);
-        ++tagGen_; // the set's resident lines changed
 
         out.hit = false;
         out.ready = fillReady;
@@ -176,29 +171,16 @@ class Cache
     std::size_t numSets() const { return sets_; }
 
     /**
-     * Monotone counter bumped whenever the set of resident lines
-     * can change (fill or invalidate; LRU touches and dirty marks
-     * don't count). Lets callers memoize probe() results exactly:
-     * a cached answer is valid iff the generation is unchanged.
-     */
-    std::uint64_t tagGeneration() const { return tagGen_; }
-
-    /**
      * Earliest outstanding-miss completion strictly after @p now, or
      * kNeverCycle with no misses in flight. Prunes expired MSHRs
      * first — the same prune access() performs, just possibly a few
      * cycles early, which is harmless: pruneUpTo is monotone and the
-     * ring only feeds backpressure decisions relative to "now".
+     * list only feeds backpressure decisions relative to "now".
      */
-    Cycle
-    earliestEvent(Cycle now)
-    {
-        mshrs_.pruneUpTo(now);
-        return mshrs_.empty() ? kNeverCycle : mshrs_.earliest();
-    }
+    Cycle earliestEvent(Cycle now) { return mshrs_.earliestAfter(now); }
 
-    /** Snapshot tags, LRU clock, tag generation and the MSHR ring
-     *  (geometry is config-fixed and excluded). */
+    /** Snapshot tags, LRU clock and the MSHR list (geometry is
+     *  config-fixed and excluded). */
     template <typename Ar>
     void
     fields(Ar &ar)
@@ -207,7 +189,7 @@ class Cache
             ar(way.valid, way.dirty, way.prefetched, way.lineAddr,
                way.lru, way.ready);
         }
-        ar(lruClock_, tagGen_, mshrs_);
+        ar(lruClock_, mshrs_);
     }
 
   private:
@@ -233,7 +215,7 @@ class Cache
                setMask_;
     }
 
-    SIM_SNAPSHOT_FIELDS(18);
+    SIM_SNAPSHOT_FIELDS(17);
 
     std::uint64_t size_;
     unsigned ways_;
@@ -243,8 +225,7 @@ class Cache
     unsigned mshrCap_;
     std::vector<Way> tags_;        // sets_ * ways_, row-major by set
     std::uint64_t lruClock_ = 0;
-    std::uint64_t tagGen_ = 0;
-    MonotonicCycleRing mshrs_;
+    CycleList mshrs_;
 
     std::uint64_t &accesses_;
     std::uint64_t &hits_;

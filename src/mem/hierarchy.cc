@@ -47,11 +47,11 @@ MemHierarchy::llcThenDram(Addr line, bool isWrite, Cycle start,
               case AccessKind::DemandStore:
               case AccessKind::InstrFetch:
                 ++dramDemandReads_;
-                demandMisses_.add(dr.ready);
+                demandMisses_.push(dr.ready);
                 break;
               case AccessKind::WrongPathLoad:
                 ++dramWrongPathReads_;
-                uselessMisses_.add(dr.ready);
+                uselessMisses_.push(dr.ready);
                 break;
               case AccessKind::RunaheadLoad:
                 ++dramRunaheadReads_;
@@ -59,7 +59,7 @@ MemHierarchy::llcThenDram(Addr line, bool isWrite, Cycle start,
                 // they later turn out useful; the PRE controller
                 // reclassifies via its own stats. Here they appear in
                 // the demand queue so MLP reflects overlap on the bus.
-                demandMisses_.add(dr.ready);
+                demandMisses_.push(dr.ready);
                 break;
             }
             return dr.ready;
@@ -209,68 +209,32 @@ bool
 MemHierarchy::wouldMissLlc(Addr addr) const
 {
     const Addr line = lineAlign(addr);
-    const std::uint64_t gen =
-        l1d_.tagGeneration() + llc_.tagGeneration();
-    ProbeCacheEntry &e =
-        probeCache_[static_cast<std::size_t>(line >> kLineShift) &
-                    (kProbeCacheSlots - 1)];
-    if (e.line == line && e.gen == gen)
-        return e.miss;
-    const bool miss = !l1d_.probe(line) && !llc_.probe(line);
-    e = {line, gen, miss};
-    SIM_AUDIT_ONLY(if (probeAudit_.due()) auditProbeCache();)
-    return miss;
+    return !l1d_.probe(line) && !llc_.probe(line);
 }
 
 Cycle
 MemHierarchy::earliestEvent(Cycle now)
 {
-    // The MLP counters must be advanced before nextEventCycle() so
-    // the bound is relative to "now"; advanceTo is exactly what the
-    // per-cycle sampler would have done first anyway.
-    demandMisses_.advanceTo(now);
-    uselessMisses_.advanceTo(now);
-    Cycle earliest = std::min(demandMisses_.nextEventCycle(),
-                              uselessMisses_.nextEventCycle());
-    earliest = std::min(earliest, l1i_.earliestEvent(now));
-    earliest = std::min(earliest, l1d_.earliestEvent(now));
-    earliest = std::min(earliest, llc_.earliestEvent(now));
-    return earliest;
-}
-
-void
-MemHierarchy::auditProbeCache() const
-{
-    const std::uint64_t gen =
-        l1d_.tagGeneration() + llc_.tagGeneration();
-    for (std::size_t slot = 0; slot < kProbeCacheSlots; ++slot) {
-        const ProbeCacheEntry &e = probeCache_[slot];
-        if (e.line == ~Addr{0} || e.gen != gen)
-            continue; // empty or orphaned by a fill/invalidate
-        SIM_ASSERT((static_cast<std::size_t>(e.line >> kLineShift) &
-                    (kProbeCacheSlots - 1)) == slot,
-                   "probe cache entry for line ", e.line,
-                   " stored in the wrong slot ", slot);
-        const bool miss = !l1d_.probe(e.line) && !llc_.probe(e.line);
-        SIM_ASSERT(e.miss == miss,
-                   "probe cache entry for line ", e.line,
-                   " disagrees with live tags despite a current "
-                   "generation key");
-    }
+    // Pruning the MLP counters here is what the per-cycle sampler
+    // would do first anyway.
+    return std::min({demandMisses_.earliestAfter(now),
+                     uselessMisses_.earliestAfter(now),
+                     l1i_.earliestEvent(now), l1d_.earliestEvent(now),
+                     llc_.earliestEvent(now)});
 }
 
 unsigned
 MemHierarchy::outstandingDemandMisses(Cycle now)
 {
-    demandMisses_.advanceTo(now);
-    return static_cast<unsigned>(demandMisses_.outstanding());
+    demandMisses_.pruneUpTo(now);
+    return static_cast<unsigned>(demandMisses_.size());
 }
 
 unsigned
 MemHierarchy::outstandingUselessMisses(Cycle now)
 {
-    uselessMisses_.advanceTo(now);
-    return static_cast<unsigned>(uselessMisses_.outstanding());
+    uselessMisses_.pruneUpTo(now);
+    return static_cast<unsigned>(uselessMisses_.size());
 }
 
 } // namespace cdfsim::mem

@@ -16,8 +16,7 @@
 #include <array>
 #include <cstdint>
 
-#include "common/audit.hh"
-#include "common/cycle_ring.hh"
+#include "common/cycle_list.hh"
 #include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -110,8 +109,8 @@ class MemHierarchy
 
     /**
      * Probe-only: would a demand load of @p addr miss the LLC right
-     * now? Used by CDF's Critical Count Table update at retire and
-     * by the full-window-stall classifier. No state is modified.
+     * now? PRE's chain walk uses it to pick the loads worth running
+     * ahead. No state is modified.
      */
     bool wouldMissLlc(Addr addr) const;
 
@@ -131,16 +130,6 @@ class MemHierarchy
      * act during the gap.
      */
     Cycle earliestEvent(Cycle now);
-
-    /**
-     * Probe-cache/tag agreement walk: every memoized wouldMissLlc()
-     * answer whose tag-generation key is still current must match a
-     * fresh probe of both levels. Stale-generation entries are
-     * unreachable (the lookup rejects them) and are not checked.
-     * Always compiled (cheap: 64 slots); sampled from wouldMissLlc()
-     * in Audit builds.
-     */
-    void auditProbeCache() const;
 
     /** DRAM bytes moved so far. */
     std::uint64_t dramBytes() const { return dram_.totalBytes(); }
@@ -162,19 +151,16 @@ class MemHierarchy
     }
 
     /**
-     * Snapshot every level plus the outstanding-miss rings, the
-     * probe memo and the prefetch-feedback cursors. Host-side
-     * profiling state is excluded (it never affects timing).
+     * Snapshot every level plus the outstanding-miss lists and the
+     * prefetch-feedback cursors. Host-side profiling state is
+     * excluded (it never affects timing).
      */
     template <typename Ar>
     void
     fields(Ar &ar)
     {
         ar(l1i_, l1d_, llc_, dram_, prefetcher_, demandMisses_,
-           uselessMisses_);
-        for (ProbeCacheEntry &e : probeCache_)
-            ar(e.line, e.gen, e.miss);
-        ar(lastPrefUseful_, lastPrefIssued_);
+           uselessMisses_, lastPrefUseful_, lastPrefIssued_);
     }
 
   private:
@@ -191,7 +177,7 @@ class MemHierarchy
     Cycle instrAccessTimed(Addr pc, Cycle now, unsigned &level);
     void recordProfile(unsigned level, std::uint64_t ns);
 
-    SIM_SNAPSHOT_FIELDS(19);
+    SIM_SNAPSHOT_FIELDS(17);
 
     HierarchyConfig config_;
     StatRegistry &stats_;
@@ -201,36 +187,13 @@ class MemHierarchy
     DramModel dram_;
     StreamPrefetcher prefetcher_;
 
-    // Outstanding DRAM misses, bucketed by completion cycle. The
-    // MLP sampler reads these every cycle, so the prune must not
-    // scale with the number of misses in flight.
-    CycleCountRing demandMisses_;
-    CycleCountRing uselessMisses_;
-
-    /**
-     * Memoized wouldMissLlc() answers. An entry is exact while the
-     * L1D and LLC tag generations both stand still: any fill or
-     * invalidate bumps a generation and orphans the entry. The two
-     * generations are folded into one key by summing (both only
-     * ever grow, so the sum can never return to an old value).
-     */
-    struct ProbeCacheEntry
-    {
-        Addr line = ~Addr{0}; //!< never a line-aligned address
-        std::uint64_t gen = 0;
-        bool miss = false;
-    };
-    static constexpr std::size_t kProbeCacheSlots = 64;
-    mutable std::array<ProbeCacheEntry, kProbeCacheSlots> probeCache_{};
+    // Completion cycles of the outstanding DRAM misses (MLP
+    // sampling reads their counts every cycle).
+    CycleList demandMisses_;
+    CycleList uselessMisses_;
 
     bool profileEnabled_ = false;
     MemLevelProfile profile_;
-
-    // Qualified on purpose: an unqualified friend here would declare
-    // a fresh cdfsim::mem::AuditPeer instead of befriending the
-    // test-only backdoor forward-declared in common/audit.hh.
-    friend struct cdfsim::AuditPeer;
-    mutable AuditSampler probeAudit_{4096};
 
     std::uint64_t lastPrefUseful_ = 0;
     std::uint64_t lastPrefIssued_ = 0;

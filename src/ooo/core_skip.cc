@@ -14,9 +14,9 @@
  *   - the full-window-stall classification at the retire tail
  *     (fullWindowStallCycles_ / stallCounting_),
  *   - the every-cycle MLP sample (outstanding DRAM miss counts are
- *     constant across the window because the jump never crosses a
- *     CycleCountRing event — RunningMean::addRepeated is exact for
- *     integral values),
+ *     constant across the window because the jump never crosses the
+ *     completion of an outstanding DRAM miss —
+ *     RunningMean::addRepeated is exact for integral values),
  *   - the partition stall counter a blocked rename charges
  *     (SectionPartition::noteStall).
  *
@@ -24,7 +24,7 @@
  * entry, the RS wakeup cache's lower bound (rsNextTry; parked
  * entries wake only from the completion broadcast, which cannot run
  * while quiescent), fetch-stall expiry, memory-hierarchy events
- * (MSHR completions and MLP-ring transitions via
+ * (MSHR and outstanding-DRAM-miss completions via
  * MemHierarchy::earliestEvent), pending store-data readiness, and
  * the PRE entry controller's minimum-stall threshold all bound the
  * jump; the deadlock watchdog and the run budget cap it so the
@@ -144,8 +144,8 @@ Core::nextEventCycle()
         bound = std::min(bound, r);
     }
 
-    // Memory hierarchy: MSHR completions and outstanding-miss ring
-    // transitions. The MLP bulk update requires the latter — the
+    // Memory hierarchy: MSHR completions and outstanding-miss
+    // completions. The MLP bulk update requires the latter — the
     // sampled counts are constant strictly inside the window.
     bound = std::min(bound, mem_.earliestEvent(now_));
 

@@ -14,10 +14,12 @@
  * snapshot is taken between ticks, so state that lives only inside
  * a tick (the deferred violations, the squash's oldest checkpoint)
  * is not a member and never on the wire. Host-only measurement
- * state (stage profile, idle-skip bookkeeping, audit samplers, the
- * squash scratch buffer) is excluded, which keeps the payload
- * independent of the profileStages/skipIdleCycles host knobs; those
- * counters are reset to zero on restore. The stat registry is
+ * state (stage profile, idle-skip bookkeeping, the squash scratch
+ * buffer) is excluded, which keeps the payload independent of the
+ * profileStages/skipIdleCycles host knobs; those counters are reset
+ * to zero on restore. The audit samplers' call counts do travel, so
+ * a restored Audit run walks at the same operations as a cold one;
+ * other builds never tick them and save zeros. The stat registry is
  * snapshotted by the owning Simulator, never here.
  */
 
@@ -156,6 +158,7 @@ Core::fields(Ar &ar)
     ar(measureStartCycle_, measureStartRetired_, mlpWhenActive_,
        uselessMlpWhenActive_, fig1CriticalFrac_, fullWindowStallCycles_,
        cdfModeCycles_);
+    ar(rsAudit_, renameAudit_, lsqRobAudit_, bpCkptAudit_);
 
     if constexpr (Ar::kLoading) {
         // Host-only measurement state: reset rather than restored.

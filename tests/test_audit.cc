@@ -2,13 +2,15 @@
  * @file
  * Unit tests for the SIM_AUDIT invariant layer (common/audit.hh).
  *
- * Each audited structure is exercised twice: auditInvariants() must
- * stay silent on a structure driven only through its public API, and
- * must panic once AuditPeer (the test-only friend) corrupts private
- * state in the specific way the check exists to catch. This target is
- * compiled with CDFSIM_AUDIT=1, so the hot-path SIM_AUDIT_ONLY hooks
- * are live here too and one test proves a sampled mutator hook
- * actually fires without any direct auditInvariants() call.
+ * Each structure with an auditInvariants() walk is exercised twice:
+ * the walk must stay silent on a structure driven only through its
+ * public API, and must panic once AuditPeer (the test-only friend)
+ * corrupts private state in the specific way the check exists to
+ * catch. This target is compiled with CDFSIM_AUDIT=1, so the hot-path
+ * SIM_AUDIT / SIM_AUDIT_ONLY hooks are live here too: one test proves
+ * a sampled mutator hook actually fires without any direct
+ * auditInvariants() call, and CycleList (no walk, only O(1) hooks)
+ * is driven to show its hooks stay silent on valid use.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +18,11 @@
 #include <cstdint>
 
 #include "common/audit.hh"
-#include "common/cycle_ring.hh"
+#include "common/cycle_list.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "common/pool.hh"
+#include "common/serialize.hh"
 
 static_assert(SIM_AUDIT_ENABLED,
               "test_audit must be compiled with CDFSIM_AUDIT=1");
@@ -95,29 +98,6 @@ struct AuditPeer
         }
         SIM_ASSERT(false, "test found no slot it could displace");
     }
-
-    // --- MonotonicCycleRing -----------------------------------------
-    static void
-    swapLiveEntries(MonotonicCycleRing &ring)
-    {
-        SIM_ASSERT(ring.count_ >= 2, "test needs two live entries");
-        const std::size_t mask = ring.buf_.size() - 1;
-        std::swap(ring.buf_[ring.head_ & mask],
-                  ring.buf_[(ring.head_ + ring.count_ - 1) & mask]);
-    }
-
-    static void
-    overflowCount(MonotonicCycleRing &ring)
-    {
-        ring.count_ = ring.buf_.size() + 1;
-    }
-
-    // --- CycleCountRing ---------------------------------------------
-    static void
-    inflateOutstanding(CycleCountRing &ring)
-    {
-        ++ring.outstanding_;
-    }
 };
 
 } // namespace cdfsim
@@ -127,9 +107,7 @@ namespace
 
 using cdfsim::AuditPeer;
 using cdfsim::AuditSampler;
-using cdfsim::CycleCountRing;
 using cdfsim::FlatMap;
-using cdfsim::MonotonicCycleRing;
 using cdfsim::PanicError;
 using cdfsim::SlabPool;
 
@@ -184,6 +162,23 @@ TEST(AuditPool, DoubleAllocationOfLiveSlotPanics)
     EXPECT_THROW(pool.allocate(), PanicError);
 }
 
+TEST(AuditPool, SampledHookFiresWithoutDirectCall)
+{
+    // Corrupt the pool, then keep allocating and freeing through the
+    // public API: the SIM_AUDIT_ONLY sampler in the mutators must
+    // trip the walk on its own within one sampling interval. Proves
+    // the hot-path wiring, not just the walk.
+    SlabPool<int> pool(8);
+    pool.allocate();
+    AuditPeer::inflateLiveCount(pool);
+    EXPECT_THROW(
+        {
+            for (int i = 0; i < 4096; ++i)
+                pool.free(pool.allocate());
+        },
+        PanicError);
+}
+
 // ------------------------------------------------------------ flat map
 
 TEST(AuditFlatMap, SilentOnValidStructure)
@@ -213,70 +208,22 @@ TEST(AuditFlatMap, FiresOnBrokenProbeChain)
     EXPECT_THROW(map.auditInvariants(), PanicError);
 }
 
-// --------------------------------------------------- monotonic ring
+// ---------------------------------------------------------- cycle list
 
-TEST(AuditCycleRing, SilentOnValidStructure)
+TEST(AuditCycleList, SilentOnValidUse)
 {
-    MonotonicCycleRing ring(4);
-    for (cdfsim::Cycle c : {30u, 10u, 20u, 50u, 40u, 15u})
-        ring.push(c);
-    ring.pruneUpTo(15);
-    EXPECT_NO_THROW(ring.auditInvariants());
-    EXPECT_EQ(ring.earliest(), 20u);
-}
-
-TEST(AuditCycleRing, FiresOnSortOrderLoss)
-{
-    MonotonicCycleRing ring(4);
-    ring.push(10);
-    ring.push(20);
-    AuditPeer::swapLiveEntries(ring);
-    EXPECT_THROW(ring.auditInvariants(), PanicError);
-}
-
-TEST(AuditCycleRing, FiresOnCountOverflow)
-{
-    MonotonicCycleRing ring(4);
-    AuditPeer::overflowCount(ring);
-    EXPECT_THROW(ring.auditInvariants(), PanicError);
-}
-
-TEST(AuditCycleRing, SampledPushHookFiresWithoutDirectCall)
-{
-    // Corrupt the ring, then keep pushing through the public API: the
-    // SIM_AUDIT_ONLY sampler inside push() must trip the walk on its
-    // own within one sampling interval. Proves the hot-path wiring,
-    // not just the walk.
-    MonotonicCycleRing ring(4);
-    ring.push(10);
-    ring.push(20);
-    AuditPeer::swapLiveEntries(ring);
-    EXPECT_THROW(
-        {
-            for (int i = 0; i < 2048; ++i)
-                ring.push(1000 + i);
-        },
-        PanicError);
-}
-
-// --------------------------------------------------- count ring
-
-TEST(AuditCountRing, SilentOnValidStructure)
-{
-    CycleCountRing ring(16);
-    for (cdfsim::Cycle c : {5u, 9u, 9u, 12u, 40u})
-        ring.add(c);
-    ring.advanceTo(9);
-    EXPECT_NO_THROW(ring.auditInvariants());
-    EXPECT_EQ(ring.outstanding(), 2u);
-}
-
-TEST(AuditCountRing, FiresOnOutstandingDrift)
-{
-    CycleCountRing ring(16);
-    ring.add(5);
-    AuditPeer::inflateOutstanding(ring);
-    EXPECT_THROW(ring.auditInvariants(), PanicError);
+    // CycleList has no auditInvariants() walk; its push and prune
+    // each carry one O(1) SIM_AUDIT, live in this target.
+    cdfsim::CycleList list;
+    EXPECT_NO_THROW({
+        for (cdfsim::Cycle c : {30u, 10u, 20u, 50u, 40u, 15u, 15u})
+            list.push(c);
+        list.pruneUpTo(15);
+        list.push(16);
+        list.pruneUpTo(3);
+    });
+    EXPECT_EQ(list.earliest(), 16u);
+    EXPECT_EQ(list.size(), 5u);
 }
 
 // --------------------------------------------------------- the macros
@@ -337,6 +284,22 @@ TEST(AuditSamplerTest, CadenceIsDeterministic)
     AuditSampler b(1024);
     for (int i = 0; i < 5000; ++i)
         EXPECT_EQ(a.due(), b.due()) << "diverged at call " << i;
+}
+
+TEST(AuditSamplerTest, SnapshotKeepsTheCadence)
+{
+    // A restored sampler continues mid-interval where the saved one
+    // stood, so a restored run walks at the cold run's operations.
+    AuditSampler cold(4);
+    cold.due();
+    cold.due();
+    cdfsim::SnapWriter w;
+    w(cold);
+    AuditSampler restored(4);
+    cdfsim::SnapReader r(w.bytes());
+    r(restored);
+    for (int i = 0; i < 12; ++i)
+        EXPECT_EQ(restored.due(), cold.due()) << "diverged at call " << i;
 }
 
 } // namespace

@@ -3,8 +3,7 @@
  * Corruption tests for the system-level audit walks: the core's RS
  * wakeup cache (Core::auditRsWakeupCache), its rename maps
  * (Core::auditRenameMaps), its LSQ/ROB age ordering
- * (Core::auditLsqRobAge), the memory hierarchy's LLC probe memo
- * (MemHierarchy::auditProbeCache), and the CDF side tables
+ * (Core::auditLsqRobAge), and the CDF side tables
  * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants).
  *
  * Unlike tests/test_audit.cc — which covers the header-only audited
@@ -30,7 +29,6 @@
 #include "common/audit.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "mem/hierarchy.hh"
 #include "ooo/core.hh"
 #include "ooo/dyn_inst.hh"
 #include "ooo/rename.hh"
@@ -42,8 +40,8 @@ namespace cdfsim
 
 /**
  * The test-only backdoor (forward-declared in common/audit.hh) that
- * Core and MemHierarchy befriend. Every mutating helper performs one
- * deliberate, targeted corruption of private state.
+ * Core and the CDF side tables befriend. Every mutating helper
+ * performs one deliberate, targeted corruption of private state.
  */
 struct AuditPeer
 {
@@ -137,42 +135,6 @@ struct AuditPeer
         if (!(parked->isLoad() || parked->isStore()))
             scrub(parked->physSrc2);
         return true;
-    }
-
-    // --- MemHierarchy: LLC probe memo -------------------------------
-
-    /** Flip the memoized answer of a current-generation entry. */
-    static bool
-    flipCurrentGenProbeEntry(mem::MemHierarchy &m)
-    {
-        const std::uint64_t gen =
-            m.l1d_.tagGeneration() + m.llc_.tagGeneration();
-        for (auto &e : m.probeCache_) {
-            if (e.line == ~Addr{0} || e.gen != gen)
-                continue;
-            e.miss = !e.miss;
-            return true;
-        }
-        return false;
-    }
-
-    /** Copy a current-generation entry into a slot it cannot hash
-     *  to, as a buggy indexing change would. */
-    static bool
-    teleportProbeEntry(mem::MemHierarchy &m)
-    {
-        const std::uint64_t gen =
-            m.l1d_.tagGeneration() + m.llc_.tagGeneration();
-        constexpr std::size_t slots =
-            mem::MemHierarchy::kProbeCacheSlots;
-        for (std::size_t i = 0; i < slots; ++i) {
-            const auto &e = m.probeCache_[i];
-            if (e.line == ~Addr{0} || e.gen != gen)
-                continue;
-            m.probeCache_[(i + 1) % slots] = e;
-            return true;
-        }
-        return false;
     }
 
     // --- CDF side tables: CCT and mask cache ------------------------
@@ -471,20 +433,6 @@ class AuditSystem : public ::testing::Test
     }
 
     cdfsim::ooo::Core &core() { return sim_->core(); }
-    cdfsim::mem::MemHierarchy &mem()
-    {
-        return sim_->core().memHierarchy();
-    }
-
-    /** Memoize a handful of probe answers at the current tag
-     *  generation (the baseline core never probes on its own). */
-    void
-    populateProbeCache()
-    {
-        for (Addr line = 0; line < 16 * cdfsim::kLineBytes;
-             line += cdfsim::kLineBytes)
-            mem().wouldMissLlc(line);
-    }
 
     std::unique_ptr<cdfsim::sim::Simulator> sim_;
 };
@@ -522,28 +470,6 @@ TEST_F(AuditSystem, RsWakeupFiresOnOrphanedParkedEntry)
     if (!orphaned)
         GTEST_SKIP() << "no parked RS entry at any stop point";
     EXPECT_THROW(c.auditRsWakeupCache(), PanicError);
-}
-
-// ------------------------------------------------- LLC probe memo
-
-TEST_F(AuditSystem, ProbeCacheSilentAfterProbes)
-{
-    populateProbeCache();
-    EXPECT_NO_THROW(mem().auditProbeCache());
-}
-
-TEST_F(AuditSystem, ProbeCacheFiresOnFlippedAnswer)
-{
-    populateProbeCache();
-    ASSERT_TRUE(AuditPeer::flipCurrentGenProbeEntry(mem()));
-    EXPECT_THROW(mem().auditProbeCache(), PanicError);
-}
-
-TEST_F(AuditSystem, ProbeCacheFiresOnTeleportedEntry)
-{
-    populateProbeCache();
-    ASSERT_TRUE(AuditPeer::teleportProbeEntry(mem()));
-    EXPECT_THROW(mem().auditProbeCache(), PanicError);
 }
 
 // ------------------------------------------------- rename maps

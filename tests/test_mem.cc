@@ -157,9 +157,8 @@ TEST(Cache, MshrOccupancyMayExceedCapInABurst)
 {
     // Sixteen same-cycle misses against a 2-entry MSHR file: nothing
     // has completed, so every stalled request queues behind the same
-    // earliest fill. Occupancy transiently exceeds the cap (the ring
-    // grows rather than inventing extra delay the old vector never
-    // modeled).
+    // earliest fill. Occupancy transiently exceeds the cap: the
+    // MSHR list grows rather than inventing extra delay.
     StatRegistry s;
     CacheConfig cfg = smallCache();
     cfg.mshrs = 2;
@@ -414,11 +413,10 @@ TEST(Hierarchy, WouldMissLlcProbeIsSilent)
 
 TEST(Hierarchy, WouldMissLlcSeesEvictions)
 {
-    // The probe result is memoized; any fill or invalidation in L1D
-    // or the LLC must make a stale memo unusable. Evict the probed
+    // The probe reads the live tags: evicting the line from L1D and
+    // the LLC must flip the answer back to "miss". Evict the probed
     // line by walking conflicting lines through both caches (stride
-    // of one LLC set revolution also conflicts in L1D) and check the
-    // classifier flips back to "miss".
+    // of one LLC set revolution also conflicts in L1D).
     StatRegistry s;
     HierarchyConfig cfg;
     cfg.prefetcherEnabled = false;
@@ -436,7 +434,7 @@ TEST(Hierarchy, WouldMissLlcSeesEvictions)
         t = r.ready + 1;
     }
     EXPECT_TRUE(mem.wouldMissLlc(a));
-    // And a re-fill flips it again, through the same memo slot.
+    // And a re-fill flips it again.
     mem.dataAccess(a, AccessKind::DemandLoad, t);
     EXPECT_FALSE(mem.wouldMissLlc(a));
 }

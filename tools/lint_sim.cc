@@ -26,7 +26,7 @@
  *    is uninitialized-read UB that may still print golden numbers.
  *
  *  - missing-mutator-assert: a public mutator of the hand-rolled
- *    ring/pool structures (common/pool.hh, cycle_ring.hh,
+ *    ring/pool structures (common/pool.hh, cycle_list.hh,
  *    circular_queue.hh, flat_map.hh) whose body contains neither
  *    SIM_ASSERT nor SIM_AUDIT. Those structures earn their O(1)
  *    claims by maintaining invariants; a mutator with no check is a
@@ -428,14 +428,13 @@ lintConfigStructs(const std::string &path, const std::string &code,
 
 constexpr const char *kMutatorFiles[] = {
     "pool.hh",
-    "cycle_ring.hh",
+    "cycle_list.hh",
     "circular_queue.hh",
     "flat_map.hh",
 };
 
 constexpr const char *kMutators[] = {
-    "allocate", "free", "push", "pop", "pruneUpTo",
-    "add",      "erase", "truncate",
+    "allocate", "free", "push", "pop", "pruneUpTo", "erase", "truncate",
 };
 
 void
