@@ -17,6 +17,7 @@
 #ifndef CDFSIM_ISA_MEMORY_IMAGE_HH
 #define CDFSIM_ISA_MEMORY_IMAGE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -51,12 +52,28 @@ class MemoryImage
     write(Addr addr, std::uint64_t value)
     {
         const Addr w = addr >> 3;
-        auto &page = pages_[w / kPageWords];
-        if (!page)
-            page = std::make_shared<Page>();
-        else if (page.use_count() > 1)
-            page = std::make_shared<Page>(*page); // copy-on-write
-        (*page)[w % kPageWords] = value;
+        writablePage(w / kPageWords)[w % kPageWords] = value;
+    }
+
+    /**
+     * Write @p words consecutive words starting at the one containing
+     * @p addr, the i-th being the i-th call of @p next(). Same result
+     * as write(addr + 8 * i, next()) for i = 0, 1, ... in order, but
+     * each page is looked up (and unshared) once.
+     */
+    template <typename Next>
+    void
+    writeWords(Addr addr, std::uint64_t words, Next &&next)
+    {
+        Addr w = addr >> 3;
+        const Addr end = w + words;
+        while (w < end) {
+            Page &page = writablePage(w / kPageWords);
+            const Addr pageEnd =
+                std::min(end, (w / kPageWords + 1) * kPageWords);
+            for (; w < pageEnd; ++w)
+                page[w % kPageWords] = next();
+        }
     }
 
     /** Number of resident 4KB pages (for tests / footprint stats). */
@@ -75,6 +92,18 @@ class MemoryImage
 
   private:
     using Page = std::array<std::uint64_t, kPageWords>;
+
+    /** Page @p id, allocated if absent and cloned if shared. */
+    Page &
+    writablePage(Addr id)
+    {
+        auto &page = pages_[id];
+        if (!page)
+            page = std::make_shared<Page>();
+        else if (page.use_count() > 1)
+            page = std::make_shared<Page>(*page); // copy-on-write
+        return *page;
+    }
 
     SIM_SNAPSHOT_FIELDS(1);
 

@@ -28,8 +28,10 @@ namespace cdfsim::isa
  * Indexed window over the correct-path dynamic instruction stream.
  *
  * Records are materialized on demand by running the functional
- * interpreter, kept in a sliding window, and discharged once the
- * timing model has retired them.
+ * interpreter, kept in a sliding window, and discharged as the
+ * timing model retires them: the core releases every retired record
+ * on each retire stage, so the window holds only records that have
+ * been fetched (or looked ahead at) but not retired.
  */
 class OracleStream
 {

@@ -478,6 +478,7 @@ Core::retireStage()
     SIM_AUDIT_ONLY(if (lsqRobAudit_.due()) auditLsqRobAge();)
     SIM_AUDIT_ONLY(if (bpCkptAudit_.due()) auditBpCheckpoints();)
 
+    bool retiredHalt = false;
     for (unsigned n = 0; n < config_.width; ++n) {
         DynInst *h = rob_.head();
         if (!h || h->state != InstState::Completed)
@@ -524,13 +525,17 @@ Core::retireStage()
 
         if (isHalt) {
             halted_ = true;
-            return;
+            retiredHalt = true;
+            break;
         }
     }
 
-    // Periodically let the oracle window shrink.
-    if ((retiredInstrs_ & 0xFFF) == 0 && retiredInstrs_ > 0)
-        oracle_.releaseBelow(nextRetireTs_);
+    // Nothing reads a retired record again (OracleStream::at asserts
+    // on it), so the oracle window, and with it every snapshot, holds
+    // only the records that have not retired.
+    oracle_.releaseBelow(nextRetireTs_);
+    if (retiredHalt)
+        return;
 
     if (windowStalled()) {
         DynInst *h = rob_.head();

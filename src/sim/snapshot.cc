@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 
 #ifdef _WIN32
 #include <process.h>
@@ -104,15 +103,13 @@ loadCheckpointFile(const std::string &path, std::uint64_t key)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         return std::nullopt;
-    std::vector<std::uint8_t> file(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
 
     // Header: magic(8) schema(4) key(8) truncated(1) size(8) fnv(8).
     constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 1 + 8 + 8;
-    if (file.size() < kHeaderBytes)
+    std::uint8_t header[kHeaderBytes];
+    if (!in.read(reinterpret_cast<char *>(header), kHeaderBytes))
         return std::nullopt;
-    SnapReader r(file.data(), kHeaderBytes);
+    SnapReader r(header, kHeaderBytes);
     for (char c : kMagic) {
         if (r.u8() != static_cast<std::uint8_t>(c))
             return std::nullopt;
@@ -125,10 +122,20 @@ loadCheckpointFile(const std::string &path, std::uint64_t key)
     ckpt.warmupTruncated = r.b();
     const std::uint64_t payloadSize = r.u64();
     const std::uint64_t payloadFnv = r.u64();
-    if (file.size() - kHeaderBytes != payloadSize)
-        return std::nullopt;
 
-    ckpt.payload.assign(file.begin() + kHeaderBytes, file.end());
+    // The payload must fill the rest of the file exactly: size it
+    // from the file before trusting the header's count.
+    const std::streamoff start = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff end = in.tellg();
+    if (start < 0 || end < start ||
+        static_cast<std::uint64_t>(end - start) != payloadSize)
+        return std::nullopt;
+    in.seekg(start);
+    ckpt.payload.resize(payloadSize);
+    if (!in.read(reinterpret_cast<char *>(ckpt.payload.data()),
+                 static_cast<std::streamsize>(payloadSize)))
+        return std::nullopt;
     if (fnv1a64(ckpt.payload) != payloadFnv)
         return std::nullopt;
     return ckpt;

@@ -31,11 +31,17 @@ namespace
  *  program and the pristine post-init memory image. */
 struct SharedWorkload
 {
+    /** The first cell to need the workload builds it; the others
+     *  wait for that one build. */
+    std::once_flag built;
     std::shared_ptr<const workloads::Workload> workload;
     std::shared_ptr<const isa::MemoryImage> pristine;
     /** Construction failure (e.g. unknown name); every cell naming
      *  this workload reports it as its own cell error. */
     std::string error;
+    /** Cells naming this workload that have not finished; the last
+     *  one to finish drops the runner's reference. */
+    std::atomic<std::size_t> cellsLeft{0};
 };
 
 /** One warmup-key equivalence class of cells. */
@@ -48,7 +54,22 @@ struct WarmupGroup
      *  followers must warm themselves. */
     int state = 0;
     std::size_t members = 0;
+    /** Members that have not let go of ckpt: a follower lets go
+     *  after its restore, the leader after the file write, a cell
+     *  that dies as soon as it is caught. The last frees ckpt. */
+    std::size_t holders = 0;
     Checkpoint ckpt;
+
+    /** One member lets go; true when that freed a payload. */
+    bool
+    letGo()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--holders != 0 || ckpt.payload.empty())
+            return false;
+        ckpt = Checkpoint{};
+        return true;
+    }
 };
 
 } // namespace
@@ -60,32 +81,19 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
     std::vector<SweepOutcome> outcomes(cells.size());
     ckptStats_ = CkptStats{};
 
-    // Build each workload once, serially: the program and pristine
-    // memory image are immutable afterwards and shared by every cell
-    // (cells copy the image copy-on-write, paying only for pages
-    // they dirty).
+    // Workloads are built on the pool, by the first cell that needs
+    // each one, and dropped after its last cell: the program and
+    // pristine memory image are immutable in between and shared by
+    // every cell (cells copy the image copy-on-write, paying only
+    // for pages they dirty).
     std::unordered_map<std::string, SharedWorkload> shared;
-    for (const SweepCell &cell : cells) {
-        SharedWorkload &s = shared[cell.workload];
-        if (s.workload || !s.error.empty())
-            continue;
-        try {
-            s.workload = std::make_shared<const workloads::Workload>(
-                workloads::makeWorkload(cell.workload));
-            auto image = std::make_shared<isa::MemoryImage>();
-            if (s.workload->init)
-                s.workload->init(*image);
-            s.pristine = std::move(image);
-        } catch (const std::exception &e) {
-            s = SharedWorkload{};
-            s.error = e.what();
-        }
-    }
+    for (const SweepCell &cell : cells)
+        ++shared[cell.workload].cellsLeft;
 
     // Group cells by warmup key. Cells with no warmup phase are not
     // memoized (there is nothing to share).
     std::vector<std::uint64_t> keys(cells.size(), 0);
-    std::vector<bool> memoized(cells.size(), false);
+    std::vector<WarmupGroup *> groupOf(cells.size(), nullptr);
     std::unordered_map<std::uint64_t, std::unique_ptr<WarmupGroup>>
         groups;
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -95,11 +103,12 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
         keyConfig.mode = cells[i].mode;
         keys[i] =
             warmupKey(cells[i].workload, keyConfig, cells[i].spec);
-        memoized[i] = true;
         auto &group = groups[keys[i]];
         if (!group)
             group = std::make_unique<WarmupGroup>();
         ++group->members;
+        ++group->holders;
+        groupOf[i] = group.get();
     }
 
     std::mutex ckptStatsMutex;
@@ -112,24 +121,43 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
         std::lock_guard<std::mutex> lock(ckptStatsMutex);
         ++ckptStats_.misses;
     };
+    /** One more (@p take) or one fewer image or payload held. */
+    auto countHeld = [&](CkptStats::Held &held, bool take) {
+        std::lock_guard<std::mutex> lock(ckptStatsMutex);
+        if (take)
+            held.peak = std::max(held.peak, ++held.now);
+        else
+            --held.now;
+    };
+
+    /** The cell's group lets go of its checkpoint (once). */
+    auto letGo = [&](WarmupGroup *&claim) {
+        if (claim && claim->letGo())
+            countHeld(ckptStats_.payloads, false);
+        claim = nullptr;
+    };
 
     /** Restore @p simulator from the group's ready checkpoint. */
     auto restoreFrom = [&](Simulator &simulator,
-                           const WarmupGroup &group) -> bool {
+                           WarmupGroup *&claim) -> bool {
         const auto t0 = std::chrono::steady_clock::now();
-        SnapReader reader(group.ckpt.payload);
+        SnapReader reader(claim->ckpt.payload);
         simulator.restoreState(reader);
         countHit(std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count());
-        return group.ckpt.warmupTruncated;
+        const bool truncated = claim->ckpt.warmupTruncated;
+        letGo(claim);
+        return truncated;
     };
 
-    /** Warm @p simulator through the group: lead, follow, or (after
-     *  a leader failure) self-warm. Returns warmupTruncated. */
-    auto warmShared = [&](Simulator &simulator, WarmupGroup &group,
+    /** Warm @p simulator through its group @p claim: lead, follow,
+     *  or (after a leader failure) self-warm. Returns
+     *  warmupTruncated. */
+    auto warmShared = [&](Simulator &simulator, WarmupGroup *&claim,
                           std::uint64_t key,
                           const RunSpec &spec) -> bool {
+        WarmupGroup &group = *claim;
         std::unique_lock<std::mutex> lock(group.mutex);
         if (group.state == 0) {
             if (!ckptDir_.empty()) {
@@ -140,7 +168,8 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
                     group.ckpt = std::move(*loaded);
                     group.state = 2;
                     lock.unlock();
-                    return restoreFrom(simulator, group);
+                    countHeld(ckptStats_.payloads, true);
+                    return restoreFrom(simulator, claim);
                 }
             }
             group.state = 1; // this cell leads
@@ -156,6 +185,7 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
                     SnapWriter writer;
                     simulator.saveState(writer);
                     fresh.payload = writer.take();
+                    countHeld(ckptStats_.payloads, true);
                 }
                 lock.lock();
                 group.ckpt = std::move(fresh);
@@ -175,19 +205,44 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
                                        checkpointFileName(key),
                                    key, group.ckpt);
             }
-            return group.ckpt.warmupTruncated;
+            const bool truncated = group.ckpt.warmupTruncated;
+            letGo(claim);
+            return truncated;
         }
         group.cv.wait(lock,
                       [&group] { return group.state >= 2; });
         if (group.state == 2) {
             lock.unlock();
-            return restoreFrom(simulator, group);
+            return restoreFrom(simulator, claim);
         }
         // The leader died; its error is captured in its own outcome.
         // Warm independently so this cell still gets a fair run.
         lock.unlock();
+        letGo(claim);
         countMiss();
         return simulator.warmup(spec);
+    };
+
+    /** Build @p s if no cell has yet; every caller sees the one
+     *  result. */
+    auto build = [&](SharedWorkload &s, const std::string &name) {
+        std::call_once(s.built, [&] {
+            try {
+                auto workload =
+                    std::make_shared<const workloads::Workload>(
+                        workloads::makeWorkload(name));
+                auto image = std::make_shared<isa::MemoryImage>();
+                if (workload->init)
+                    workload->init(*image);
+                s.workload = std::move(workload);
+                s.pristine = std::move(image);
+                countHeld(ckptStats_.images, true);
+            } catch (const std::exception &e) {
+                s.error = e.what();
+            }
+            std::lock_guard<std::mutex> lock(ckptStatsMutex);
+            ++ckptStats_.builds;
+        });
     };
 
     std::atomic<std::size_t> nextCell{0};
@@ -204,17 +259,18 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
             SweepOutcome &out = outcomes[i];
             out.cell = cells[i];
             out.cell.config.mode = out.cell.mode;
+            SharedWorkload &s = shared.at(out.cell.workload);
+            WarmupGroup *claim = groupOf[i];
             try {
-                const SharedWorkload &s = shared.at(out.cell.workload);
+                build(s, out.cell.workload);
                 if (!s.workload)
                     throw PanicError(s.error);
                 Simulator simulator(out.cell.config, s.workload,
                                     s.pristine);
                 bool warmupTruncated;
-                if (memoized[i]) {
-                    warmupTruncated =
-                        warmShared(simulator, *groups.at(keys[i]),
-                                   keys[i], out.cell.spec);
+                if (claim) {
+                    warmupTruncated = warmShared(simulator, claim,
+                                                 keys[i], out.cell.spec);
                 } else {
                     warmupTruncated = simulator.warmup(out.cell.spec);
                 }
@@ -222,6 +278,12 @@ SweepRunner::runAll(const std::vector<SweepCell> &cells,
                                             warmupTruncated);
             } catch (const std::exception &e) {
                 out.error = e.what();
+            }
+            letGo(claim);
+            if (s.cellsLeft.fetch_sub(1) == 1 && s.pristine) {
+                s.workload.reset();
+                s.pristine.reset();
+                countHeld(ckptStats_.images, false);
             }
             out.run.workload = out.cell.workload;
             out.run.mode = out.cell.mode;

@@ -75,6 +75,15 @@ using SweepProgressFn = std::function<void(
  * same matrix (fig13 then fig14...) share warmups too. Restoring is
  * bit-identical to warming (tests/test_snapshot), so memoization
  * changes wall-clock time only — never a stat, result or artifact.
+ *
+ * runAll() holds only what a live cell needs. Each workload (program
+ * plus pristine memory image) is built on the pool by the first cell
+ * that names it, once per runAll — the others wait for that build —
+ * and the runner drops it when the last cell naming it finishes. A
+ * group's checkpoint payload is freed once every member has let go
+ * of it: a follower after its restore, the leader after its file
+ * write (so a singleton group frees it at once). CkptStats counts
+ * both.
  */
 class SweepRunner
 {
@@ -96,6 +105,18 @@ class SweepRunner
         std::uint64_t hits = 0;   //!< cells that restored a checkpoint
         std::uint64_t misses = 0; //!< cells that warmed from scratch
         double restoreSeconds = 0.0; //!< host time in restoreState()
+        std::uint64_t builds = 0; //!< workload builds (one per name)
+
+        /** What the runner holds of one kind: now (0 once runAll
+         *  has returned, as everything is let go at its last use)
+         *  and at most at once. */
+        struct Held
+        {
+            std::uint64_t now = 0;
+            std::uint64_t peak = 0;
+        };
+        Held images;   //!< pristine workload images
+        Held payloads; //!< checkpoint payloads
     };
     const CkptStats &ckptStats() const { return ckptStats_; }
 

@@ -111,8 +111,8 @@ void
 fillRandom(isa::MemoryImage &mem, Addr base, std::uint64_t words,
            Random &rng, std::uint64_t valueMask = ~0ull)
 {
-    for (std::uint64_t w = 0; w < words; ++w)
-        mem.write(base + w * 8, rng.next() & valueMask);
+    mem.writeWords(base, words,
+                   [&] { return rng.next() & valueMask; });
 }
 
 /**
@@ -131,8 +131,9 @@ fillChain(isa::MemoryImage &mem, Addr base, std::uint64_t words,
         const std::uint64_t j = rng.below(i);
         std::swap(perm[i], perm[j]);
     }
-    for (std::uint64_t i = 0; i < words; ++i)
-        mem.write(base + i * 8, base + perm[i] * 8ull);
+    std::uint64_t i = 0;
+    mem.writeWords(base, words,
+                   [&] { return base + perm[i++] * 8ull; });
 }
 
 constexpr std::int64_t kForever = 1'000'000'000;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "isa/interpreter.hh"
 #include "isa/memory_image.hh"
@@ -66,6 +68,60 @@ TEST(MemoryImage, SparsePagesFarApart)
     mem.write(Addr{1} << 40, 2);
     EXPECT_EQ(mem.residentPages(), 2u);
     EXPECT_EQ(mem.read(Addr{1} << 40), 2u);
+}
+
+TEST(MemoryImage, WriteWordsMatchesPerWordWrites)
+{
+    // Starts just before a page boundary (and off word alignment),
+    // runs across whole pages, and ends mid-page; the generator is
+    // called once per word, in address order.
+    constexpr Addr kPage = MemoryImage::kPageBytes;
+    for (const Addr start : {Addr{0}, 3 * kPage - 40, 3 * kPage - 37,
+                             5 * kPage}) {
+        for (const std::uint64_t words :
+             {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5},
+              MemoryImage::kPageWords, std::uint64_t{1100}}) {
+            MemoryImage perWord;
+            MemoryImage bulk;
+            auto lcg = [](std::uint64_t &x) {
+                return x = x * 6364136223846793005ull + 1;
+            };
+            std::uint64_t a = 7, b = 7;
+            for (std::uint64_t i = 0; i < words; ++i)
+                perWord.write(start + 8 * i, lcg(a));
+            bulk.writeWords(start, words, [&] { return lcg(b); });
+            EXPECT_EQ(bulk.residentPages(), perWord.residentPages())
+                << start << "+" << words;
+            for (Addr at = start - std::min<Addr>(start, 64);
+                 at < start + 8 * words + 64; at += 8)
+                ASSERT_EQ(bulk.read(at), perWord.read(at))
+                    << start << "+" << words << " at " << at;
+        }
+    }
+}
+
+TEST(MemoryImage, WriteWordsUnsharesCopyOnWritePages)
+{
+    // A copy shares the base's pages; a bulk write into it must
+    // clone each page it touches and leave the base as it was.
+    constexpr Addr kPage = MemoryImage::kPageBytes;
+    MemoryImage base;
+    for (Addr at = 0; at < 3 * kPage; at += 8)
+        base.write(at, at);
+    MemoryImage copy = base;
+    copy.writeWords(kPage - 16, 4, [] { return 0xABCDull; });
+
+    for (Addr at = 0; at < 3 * kPage; at += 8) {
+        ASSERT_EQ(base.read(at), at) << at;
+        const bool written = at >= kPage - 16 && at < kPage + 16;
+        ASSERT_EQ(copy.read(at), written ? 0xABCDull : at) << at;
+    }
+    // Exactly the two touched pages differ from the base now; the
+    // third is still shared with it.
+    SnapWriter w;
+    copy.saveDelta(w, base);
+    SnapReader r(w.bytes());
+    EXPECT_EQ(r.u64(), 2u);
 }
 
 // --- ProgramBuilder ---

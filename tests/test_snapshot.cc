@@ -31,10 +31,13 @@ namespace cdfsim
 {
 
 /** Test-only read access to the core's wrong-path walker and the
- *  flags naming the role it serves (Core befriends AuditPeer). */
+ *  flags naming the role it serves, and to the oracle window's base
+ *  and the next timestamp to retire (Core befriends AuditPeer). */
 struct AuditPeer
 {
     static bool walkerLive(const ooo::Core &c) { return c.walker_.active(); }
+    static SeqNum oracleBase(const ooo::Core &c) { return c.oracle_.base(); }
+    static SeqNum nextRetireTs(const ooo::Core &c) { return c.nextRetireTs_; }
     static bool baselineWrongPath(const ooo::Core &c) { return c.wrongPath_; }
 
     static bool
@@ -253,6 +256,30 @@ TEST(Snapshot, LiveWalkerRoundTripInEveryRole)
     }
 }
 
+TEST(Snapshot, OracleWindowHoldsNoRetiredRecord)
+{
+    // The retire stage releases every record it retires, so neither
+    // the oracle window nor a snapshot of it carries retired ones:
+    // after every tick the window starts at the next ts to retire.
+    for (const char *workload : {"astar", "mcf"}) {
+        for (auto mode : {ooo::CoreMode::Baseline, ooo::CoreMode::Cdf,
+                          ooo::CoreMode::Pre}) {
+            SCOPED_TRACE(std::string(workload) + "/" +
+                         sim::toString(mode));
+            sim::Simulator s(configFor(mode),
+                             workloads::makeWorkload(workload));
+            ooo::Core &core = s.core();
+            for (int tick = 0; tick < 20'000 && !core.halted(); ++tick) {
+                core.tick();
+                ASSERT_EQ(AuditPeer::oracleBase(core),
+                          AuditPeer::nextRetireTs(core))
+                    << "after tick " << tick;
+            }
+            EXPECT_GT(core.retired(), 1'000u);
+        }
+    }
+}
+
 TEST(Snapshot, PayloadIndependentOfHostKnobs)
 {
     // skipIdleCycles and profileStages are host-only: a snapshot
@@ -466,6 +493,47 @@ TEST(SnapshotFile, SaveLoadRoundTrip)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SnapshotFile, DamagedPayloadMisses)
+{
+    // The header survives but the payload does not: the load must
+    // miss, not hand back a short or altered payload.
+    const std::filesystem::path dir = "snapshot_damage_test";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    sim::Checkpoint ckpt;
+    for (int i = 0; i < 5000; ++i)
+        ckpt.payload.push_back(static_cast<std::uint8_t>(i * 13));
+    const std::uint64_t key = 0xFEEDull;
+    const std::string path = (dir / "damaged.cdfsnap").string();
+    ASSERT_TRUE(sim::saveCheckpointFile(path, key, ckpt));
+    const auto fileBytes = std::filesystem::file_size(path);
+    ASSERT_TRUE(sim::loadCheckpointFile(path, key).has_value());
+
+    // A payload byte in the middle flipped: the checksum catches it.
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(fileBytes / 2));
+        f.put(static_cast<char>(~ckpt.payload[ckpt.payload.size() / 2]));
+    }
+    EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value());
+
+    // Truncated inside the payload, by one byte and by half.
+    for (const auto size : {fileBytes - 1, fileBytes / 2}) {
+        ASSERT_TRUE(sim::saveCheckpointFile(path, key, ckpt));
+        std::filesystem::resize_file(path, size);
+        EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value())
+            << size << " of " << fileBytes << " bytes accepted";
+    }
+
+    // One byte more than the header announces.
+    ASSERT_TRUE(sim::saveCheckpointFile(path, key, ckpt));
+    std::filesystem::resize_file(path, fileBytes + 1);
+    EXPECT_FALSE(sim::loadCheckpointFile(path, key).has_value());
+
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SnapshotFile, OnDiskBytesAreDeterministic)
 {
     // Two independent simulators (standing in for two processes)
@@ -649,14 +717,133 @@ TEST(SweepMemoization, CheckpointDirSharesAcrossRunners)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SweepMemoization, PayloadFreedAfterItsGroupsLastRestore)
+{
+    // astar/cdf is one group of three (its cells differ only in the
+    // measure window); lbm/baseline and parest/pre are singletons.
+    auto cell = [](const char *wl, ooo::CoreMode mode,
+                   std::uint64_t measure) {
+        sim::SweepCell c;
+        c.workload = wl;
+        c.mode = mode;
+        c.spec.warmupInstrs = 4'000;
+        c.spec.measureInstrs = measure;
+        return c;
+    };
+    const std::vector<sim::SweepCell> cells = {
+        cell("astar", ooo::CoreMode::Cdf, 3'000),
+        cell("astar", ooo::CoreMode::Cdf, 5'000),
+        cell("astar", ooo::CoreMode::Cdf, 4'000),
+        cell("lbm", ooo::CoreMode::Baseline, 4'000),
+        cell("parest", ooo::CoreMode::Pre, 4'000),
+    };
+    const std::filesystem::path dir = "sweep_payload_free_test";
+
+    // In memory only, the singletons never snapshot; with a disk
+    // cache each one holds its payload only until its file is
+    // written. Serially, astar's payload is gone before lbm warms.
+    for (const bool disk : {false, true}) {
+        SCOPED_TRACE(disk ? "with --ckpt-dir" : "in memory");
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        sim::SweepRunner serial(1);
+        if (disk)
+            serial.setCheckpointDir(dir.string());
+        const auto outcomes = serial.runAll(cells);
+        EXPECT_EQ(serial.ckptStats().misses, 3u);
+        EXPECT_EQ(serial.ckptStats().hits, 2u);
+        EXPECT_EQ(serial.ckptStats().payloads.now, 0u);
+        EXPECT_EQ(serial.ckptStats().payloads.peak, 1u);
+
+        // Four threads: the followers restore while the leader may
+        // still be writing; nobody may see the payload freed early.
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        sim::SweepRunner parallel(4);
+        if (disk)
+            parallel.setCheckpointDir(dir.string());
+        const auto par = parallel.runAll(cells);
+        EXPECT_EQ(parallel.ckptStats().payloads.now, 0u);
+        EXPECT_EQ(parallel.ckptStats().hits +
+                      parallel.ckptStats().misses,
+                  cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            EXPECT_TRUE(outcomes[i].error.empty()) << outcomes[i].error;
+            EXPECT_EQ(sim::toJson(outcomes[i]).dump(),
+                      sim::toJson(par[i]).dump())
+                << "cell " << i;
+        }
+    }
+
+    // A rerun over the same directory restores every cell from disk
+    // and frees each loaded payload too.
+    sim::SweepRunner rerun(4);
+    rerun.setCheckpointDir(dir.string());
+    rerun.runAll(cells);
+    EXPECT_EQ(rerun.ckptStats().hits, cells.size());
+    EXPECT_EQ(rerun.ckptStats().payloads.now, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepMemoization, FailedLeaderLeavesFollowersToWarmThemselves)
+{
+    // mcf cannot retire within 5 cycles of a miss, so every warmup of
+    // this group panics with a deadlock: the leader fails, and each
+    // follower must warm (and fail) on its own rather than wait for,
+    // or restore, a checkpoint that never comes. A good group runs
+    // beside it untouched.
+    auto cell = [](const char *wl, std::uint64_t measure,
+                   Cycle deadlock) {
+        sim::SweepCell c;
+        c.workload = wl;
+        c.mode = ooo::CoreMode::Cdf;
+        c.config.deadlockCycles = deadlock;
+        c.spec.warmupInstrs = 4'000;
+        c.spec.measureInstrs = measure;
+        return c;
+    };
+    const Cycle kDefault = ooo::CoreConfig{}.deadlockCycles;
+    const std::vector<sim::SweepCell> cells = {
+        cell("mcf", 3'000, 5),     cell("astar", 3'000, kDefault),
+        cell("mcf", 4'000, 5),     cell("astar", 4'000, kDefault),
+        cell("mcf", 5'000, 5),
+    };
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        sim::SweepRunner runner(threads);
+        const auto outcomes = runner.runAll(cells);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (cells[i].workload == "mcf") {
+                EXPECT_NE(outcomes[i].error.find("deadlock"),
+                          std::string::npos)
+                    << "cell " << i << ": " << outcomes[i].error;
+            } else {
+                EXPECT_TRUE(outcomes[i].error.empty())
+                    << "cell " << i << ": " << outcomes[i].error;
+            }
+        }
+        // The failed leader counts nothing; the two mcf followers'
+        // own warmups and the astar leader are misses.
+        EXPECT_EQ(runner.ckptStats().misses, 3u);
+        EXPECT_EQ(runner.ckptStats().hits, 1u);
+        EXPECT_EQ(runner.ckptStats().payloads.now, 0u);
+        EXPECT_EQ(runner.ckptStats().images.now, 0u);
+    }
+}
+
 TEST(SnapshotLayout, PayloadBytesArePinned)
 {
-    // Pins the checkpoint payload layout. Any change to what
+    // Pins the checkpoint payload bytes. Any change to what
     // Simulator::saveState writes — a field added, removed,
     // reordered or written at another width — moves these hashes.
     // Checkpoint files from an older build would then be misread, so
     // such a change must bump sim::kCheckpointSchemaVersion (which
     // makes old files miss cleanly) and re-pin the constants below.
+    // A change of content alone (same layout, other values, e.g.
+    // fewer oracle records in the window) moves them too but keeps
+    // the schema: re-pin, and show that a checkpoint directory
+    // written by either build restores in the other to results
+    // identical to a cold run (fig14 from a fig13 --ckpt-dir).
     // The payload carries every AuditSampler's call count, which only
     // Audit builds tick, so those builds pin their own hashes.
     sim::RunSpec spec;
@@ -669,18 +856,18 @@ TEST(SnapshotLayout, PayloadBytesArePinned)
         std::uint64_t fnvAudit;
     };
     const Pin pins[] = {
-        {"astar", ooo::CoreMode::Baseline, 0xb48046e38ed347d0ull,
-         0x9b017bc098b37862ull},
-        {"astar", ooo::CoreMode::Cdf, 0x444d8cfd2a7bf47cull,
-         0x187e1e2e084ae04cull},
-        {"astar", ooo::CoreMode::Pre, 0xc56c34a23b2774c9ull,
-         0x3ebae2b0c0c91f12ull},
-        {"mcf", ooo::CoreMode::Baseline, 0x032e1d2a950e8b85ull,
-         0x0396dacab1021166ull},
-        {"mcf", ooo::CoreMode::Cdf, 0x69737491c8886c7bull,
-         0x14339959e5f317b8ull},
-        {"mcf", ooo::CoreMode::Pre, 0xdc5a94624c623e18ull,
-         0x39341cf64fb7a697ull},
+        {"astar", ooo::CoreMode::Baseline, 0xe9c0c019fe6b3c03ull,
+         0x5487cee6d5501501ull},
+        {"astar", ooo::CoreMode::Cdf, 0x612cb334df21b430ull,
+         0xb5e1706169715eb8ull},
+        {"astar", ooo::CoreMode::Pre, 0x2916851e18bce32eull,
+         0x1092d076f9bd0ad5ull},
+        {"mcf", ooo::CoreMode::Baseline, 0x7065ca31f274be0bull,
+         0x95ad5e67882f3564ull},
+        {"mcf", ooo::CoreMode::Cdf, 0x89dfac9994b5cb67ull,
+         0x6ee7826ed6cab3b4ull},
+        {"mcf", ooo::CoreMode::Pre, 0xc459aec80ec40384ull,
+         0x4435135afa9d6cd3ull},
     };
     for (const Pin &pin : pins) {
         sim::Simulator s(configFor(pin.mode),

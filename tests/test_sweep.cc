@@ -93,6 +93,78 @@ TEST(SweepRunner, CellErrorIsCapturedNotThrown)
     EXPECT_GT(outcomes[2].run.core.ipc, 0.0);
 }
 
+TEST(SweepRunner, UnknownWorkloadErrorReachesEveryCell)
+{
+    sim::SweepCell good;
+    good.workload = "parest";
+    good.spec.warmupInstrs = 1'000;
+    good.spec.measureInstrs = 2'000;
+    sim::SweepCell other = good;
+    other.workload = "lbm";
+    sim::SweepCell bad = good;
+    bad.workload = "no_such_workload";
+    sim::SweepCell badCdf = bad;
+    badCdf.mode = ooo::CoreMode::Cdf;
+
+    const std::vector<sim::SweepCell> cells = {bad, good, badCdf,
+                                               other, bad};
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        sim::SweepRunner runner(threads);
+        const auto outcomes = runner.runAll(cells);
+        ASSERT_EQ(outcomes.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (cells[i].workload == bad.workload) {
+                EXPECT_NE(outcomes[i].error.find("no_such_workload"),
+                          std::string::npos)
+                    << "cell " << i << ": '" << outcomes[i].error << "'";
+                EXPECT_TRUE(outcomes[i].failed());
+            } else {
+                EXPECT_TRUE(outcomes[i].error.empty())
+                    << "cell " << i << ": " << outcomes[i].error;
+                EXPECT_GT(outcomes[i].run.core.ipc, 0.0);
+            }
+        }
+        // The failed build is attempted once, like the good ones.
+        EXPECT_EQ(runner.ckptStats().builds, 3u);
+        EXPECT_EQ(runner.ckptStats().images.now, 0u);
+    }
+}
+
+TEST(SweepRunner, BuildsEachWorkloadOnceAndDropsItAfterItsLastCell)
+{
+    // smallMatrix runs each workload's three cells back to back:
+    // serially, only one image is ever held.
+    const auto cells = smallMatrix();
+    sim::SweepRunner serial(1);
+    const auto expect = serial.runAll(cells);
+    EXPECT_EQ(serial.ckptStats().builds, 3u);
+    EXPECT_EQ(serial.ckptStats().images.peak, 1u);
+    EXPECT_EQ(serial.ckptStats().images.now, 0u);
+
+    // Interleaved, astar's last cell comes after lbm's first: two.
+    std::vector<sim::SweepCell> interleaved = {cells[0], cells[3],
+                                               cells[1], cells[4]};
+    serial.runAll(interleaved);
+    EXPECT_EQ(serial.ckptStats().builds, 2u);
+    EXPECT_EQ(serial.ckptStats().images.peak, 2u);
+    EXPECT_EQ(serial.ckptStats().images.now, 0u);
+
+    // Four workers racing for the same workloads still build each
+    // once, drop every image, and match the serial run bit for bit.
+    for (int round = 0; round < 3; ++round) {
+        sim::SweepRunner parallel(4);
+        const auto got = parallel.runAll(cells);
+        EXPECT_EQ(parallel.ckptStats().builds, 3u);
+        EXPECT_EQ(parallel.ckptStats().images.now, 0u);
+        EXPECT_LE(parallel.ckptStats().images.peak, 3u);
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            EXPECT_EQ(sim::toJson(expect[i]).dump(),
+                      sim::toJson(got[i]).dump())
+                << "cell " << i << " diverged under parallelism";
+    }
+}
+
 TEST(SweepRunner, ZeroThreadsMeansHardwareConcurrency)
 {
     EXPECT_GE(sim::SweepRunner(0).threads(), 1u);
