@@ -5,10 +5,14 @@
  *  - Delayed Branch Queue (DBQ): directions and targets of every
  *    branch predicted while fetching critical uops; the regular
  *    fetch stream replays them so both streams follow one path and
- *    the predictor is consulted exactly once per branch.
+ *    the predictor is consulted exactly once per branch. An entry
+ *    for a branch that travels only in the regular stream also owns
+ *    the branch checkpoint taken at prediction time, until regular
+ *    fetch hands it to the branch's instruction.
  *  - Critical Map Queue (CMQ): destination physical registers
  *    assigned by the critical rename stage, replayed into the
- *    regular RAT in program order by the regular rename stage.
+ *    regular RAT in program order by the regular rename stage. Each
+ *    entry names the critical-stream instruction it came from.
  *
  * Both are program-ordered, so a mispredict/violation flush is a
  * truncate at the offending timestamp.
@@ -30,15 +34,19 @@ struct DbqEntry
     SeqNum ts = 0;        //!< program-order timestamp of the branch
     bool taken = false;   //!< predicted (later: corrected) direction
     Addr target = 0;      //!< predicted next PC when taken
+    bool btbMiss = false; //!< the prediction missed the BTB
+    /** Branch-checkpoint pool handle for a branch fetched only by the
+     *  regular stream; kNoInst when the critical copy owns it. */
+    std::uint32_t ckpt = kNoInst;
 
     template <typename Ar>
     void
     fields(Ar &ar)
     {
-        ar(ts, taken, target);
+        ar(ts, taken, target, btbMiss, ckpt);
     }
 
-    SIM_SNAPSHOT_FIELDS(3);
+    SIM_SNAPSHOT_FIELDS(5);
 };
 
 /** One Critical Map Queue entry. */
@@ -47,13 +55,14 @@ struct CmqEntry
     SeqNum ts = 0;        //!< timestamp of the critical uop
     RegId archDst = kInvalidReg;
     RegId physDst = kInvalidReg;
-    RegId oldPhysDst = kInvalidReg;
+    /** In-flight pool handle of the critical-stream instruction. */
+    std::uint32_t inst = kNoInst;
 
     template <typename Ar>
     void
     fields(Ar &ar)
     {
-        ar(ts, archDst, physDst, oldPhysDst);
+        ar(ts, archDst, physDst, inst);
     }
 
     SIM_SNAPSHOT_FIELDS(4);
@@ -65,17 +74,25 @@ using DelayedBranchQueue = CircularQueue<DbqEntry>;
 /** Critical Map Queue (Table 1: 256 entries). */
 using CriticalMapQueue = CircularQueue<CmqEntry>;
 
+/** flushYounger's default for entries that own nothing. */
+struct DropNothing
+{
+    template <typename Entry>
+    void operator()(const Entry &) const {}
+};
+
 /**
  * Truncate a program-ordered FIFO, dropping every entry with
- * ts > @p flushTs (partial flush on mispredict, Section 3.6).
+ * ts > @p flushTs (partial flush on mispredict, Section 3.6) after
+ * handing it to @p onDrop, youngest first.
  */
-template <typename Queue>
+template <typename Queue, typename OnDrop = DropNothing>
 void
-flushYounger(Queue &q, SeqNum flushTs)
+flushYounger(Queue &q, SeqNum flushTs, OnDrop &&onDrop = {})
 {
     std::size_t keep = q.size();
     while (keep > 0 && q.at(keep - 1).ts > flushTs)
-        --keep;
+        onDrop(q.at(--keep));
     q.truncate(keep);
 }
 

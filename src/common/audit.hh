@@ -1,13 +1,13 @@
 /**
  * @file
  * SIM_AUDIT: runtime invariant instrumentation for the hand-rolled
- * hot-path structures (SlabPool, FlatMap, the completion-cycle list,
- * the completion heap, TAGE's folded histories).
+ * hot-path structures (SlabPool, the completion-cycle list, the
+ * completion heap, TAGE's folded histories).
  *
  * The stat gate (tests/test_stat_gate) proves the simulator's numbers
  * are bit-identical across refactors, but "golden" numbers can still
  * be wrong if a structure silently violates its own invariants (a
- * probe chain broken by a bad backward-shift, a heap that lost order
+ * pool slot both live and on the free list, a heap that lost order
  * after a squash rebuild, a folded history that drifted from the
  * naive recompute). This layer makes those violations loud:
  *

@@ -35,6 +35,10 @@ inline constexpr RegId kInvalidReg = std::numeric_limits<RegId>::max();
 /** Sentinel for "no sequence number assigned yet". */
 inline constexpr SeqNum kInvalidSeq = std::numeric_limits<SeqNum>::max();
 
+/** Null handle into a SlabPool: no in-flight instruction, no branch
+ *  checkpoint. */
+inline constexpr std::uint32_t kNoInst = 0xFFFF'FFFFu;
+
 /** Sentinel cycle meaning "never" / "not scheduled". */
 inline constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();
 

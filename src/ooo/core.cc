@@ -143,6 +143,7 @@ Core::Core(const CoreConfig &config, const isa::Program &program,
             config_.pre.uopCache, stats_);
         fillBuffer_ = std::make_unique<cdf::FillBuffer>(
             config_.pre.fillBuffer, *maskCache_, *uopCache_, stats_);
+        lastRetiredLoadAddr_.assign(program.size(), kNoLoadAddr);
     }
 }
 
@@ -222,14 +223,6 @@ Core::takeBpCheckpoint()
     const std::uint32_t h = bpCkptPool_.allocate();
     bpCkptPool_.at(h) = bp_.checkpoint();
     return h;
-}
-
-void
-Core::clearDbqCheckpoints()
-{
-    for (const DbqCheckpoint &c : dbqCkpts_)
-        bpCkptPool_.free(c.ckpt);
-    dbqCkpts_.clear();
 }
 
 // ---------------------------------------------------------------------

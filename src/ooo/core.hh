@@ -38,7 +38,6 @@
 #include "cdf/partition.hh"
 #include "cdf/uop_cache.hh"
 #include "common/circular_queue.hh"
-#include "common/flat_map.hh"
 #include "common/histogram.hh"
 #include "common/pool.hh"
 #include "common/serialize.hh"
@@ -280,7 +279,7 @@ class Core
     /**
      * Branch-checkpoint pool ownership walk: every live handle in
      * bpCkptPool_ is owned exactly once, by an in-flight instruction
-     * or a dbqCkpts_ entry, every owned handle is live, and the live
+     * or a DBQ entry, every owned handle is live, and the live
      * count equals the number of owners (no leaks). Always
      * compiled; sampled from the retire stage in Audit builds.
      */
@@ -332,8 +331,6 @@ class Core
 
     /** Snapshot the predictor into a fresh checkpoint-pool slot. */
     std::uint32_t takeBpCheckpoint();
-    /** Free every DBQ checkpoint handle, then empty dbqCkpts_. */
-    void clearDbqCheckpoints();
 
     // --- Execution helpers ---
     /** When @p inst's sources are ready (0 if absent, and a memory
@@ -479,7 +476,7 @@ class Core
     DynInst *decInst(std::uint32_t idx);
 
     // ------------------------------------------------------------------
-    SIM_SNAPSHOT_FIELDS(113);
+    SIM_SNAPSHOT_FIELDS(111);
 
     CoreConfig config_;
     StatRegistry &stats_;
@@ -505,7 +502,7 @@ class Core
     std::uint32_t inflightTail_ = kNoInst; //!< youngest in flight
 
     /** Branch checkpoints, owned by DynInst::bpCkpt or a
-     *  DbqCheckpoint (see auditBpCheckpoints()). */
+     *  cdf::DbqEntry (see auditBpCheckpoints()). */
     SlabPool<bp::BpCheckpoint> bpCkptPool_{256};
 
     /** squashYoungerThan's victims (reused): frontend entries, then
@@ -603,9 +600,6 @@ class Core
     /** wpRecords_ index of the current wrong-path BB's first uop. */
     std::size_t critWpBbBase_ = 0;
 
-    /** Critical-stream instructions by ts (for CMQ replay transfer). */
-    FlatMap<SeqNum, DynInst *> criticalByTs_{kInvalidSeq};
-
     /** Per-BB criticality bits handed from critical to regular fetch. */
     std::deque<BbInfo> bbInfoQ_;
 
@@ -629,26 +623,6 @@ class Core
     std::vector<WpRecord> wpRecords_;
     std::size_t wpConsumeIdx_ = 0;
 
-    // DBQ checkpoints: branch checkpoints taken at critical fetch for
-    // branches that travel only in the regular stream. The pool
-    // handle moves to the regular-stream DynInst when it is fetched.
-    struct DbqCheckpoint
-    {
-        SeqNum ts;
-        std::uint32_t ckpt; //!< bpCkptPool_ handle
-        bool btbMiss;
-
-        template <typename Ar>
-        void
-        fields(Ar &ar)
-        {
-            ar(ts, ckpt, btbMiss);
-        }
-
-        SIM_SNAPSHOT_FIELDS(3);
-    };
-    std::vector<DbqCheckpoint> dbqCkpts_;
-
     /** Wrong-path critical fetch ran into unwalkable code; idle. */
     bool critWpStuck_ = false;
 
@@ -663,8 +637,10 @@ class Core
     bp::BpCheckpoint raBpCkpt_;
     std::uint64_t raChainLoads_ = 0;
     unsigned raEpisodeLoads_ = 0;
-    /** Last committed address per static load (stale-value model). */
-    FlatMap<Addr, Addr> lastRetiredLoadAddr_{~Addr{0}};
+    /** Last committed address per static load, indexed by PC
+     *  (stale-value model; sized in PRE mode only). */
+    std::vector<Addr> lastRetiredLoadAddr_;
+    static constexpr Addr kNoLoadAddr = ~Addr{0}; //!< none retired yet
     Cycle stallStartCycle_ = 0;
     bool stallCounting_ = false;
 

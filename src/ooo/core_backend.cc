@@ -151,8 +151,7 @@ Core::renameCritical(unsigned &slots)
             std::fprintf(stderr, "[%lu] CRITRENAME ts=%lu\n", now_,
                          inst->ts);
         cmq_->push({inst->ts, inst->uop.dst, inst->physDst,
-                    kInvalidReg});
-        criticalByTs_[inst->ts] = inst;
+                    inst->poolIdx});
 
         critQ_.pop();
         --slots;
@@ -185,11 +184,12 @@ Core::renameRegularOne(SeqNum &depViolationTs)
         if (traceTs(inst->ts))
             std::fprintf(stderr, "[%lu] REPLAY ts=%lu\n", now_,
                          inst->ts);
-        cdf::CmqEntry e = cmq_->pop();
-        DynInst *const *slot = criticalByTs_.find(inst->ts);
-        SIM_ASSERT(slot != nullptr,
-                   "CMQ replay with no critical-stream instruction");
-        DynInst *real = *slot;
+        const cdf::CmqEntry e = cmq_->pop();
+        SIM_ASSERT(inflightPool_.alive(e.inst) &&
+                       inflightPool_.at(e.inst).ts == inst->ts,
+                   "CMQ replay with no critical-stream instruction: ts ",
+                   inst->ts, " handle ", e.inst);
+        DynInst *real = &inflightPool_.at(e.inst);
         real->hasPoisonSnapshot = true;
         real->poisonSnapshot = rat_.poisonBits();
         if (inst->uop.writesReg()) {
@@ -500,8 +500,12 @@ Core::retireStage()
 
         if (h->isLoad()) {
             lsq_.lq().retire(h);
-            if (config_.mode == CoreMode::Pre)
+            if (config_.mode == CoreMode::Pre) {
+                SIM_ASSERT(h->memAddr != kNoLoadAddr,
+                           "load ts ", h->ts,
+                           " retired the no-address sentinel");
                 lastRetiredLoadAddr_[h->pc] = h->memAddr;
+            }
         }
         if (h->isStore()) {
             lsq_.sq().retire(h);
@@ -520,7 +524,6 @@ Core::retireStage()
 
         trainOnRetire(h);
 
-        criticalByTs_.erase(h->ts);
         destroyInst(h);
 
         if (isHalt) {
@@ -703,9 +706,10 @@ Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
             if (inst->hasBpCheckpoint())
                 noteCkpt(inst->ts, inst->bpCkpt);
         }
-        for (const DbqCheckpoint &c : dbqCkpts_) {
-            if (c.ts > flushTs)
-                noteCkpt(c.ts, c.ckpt);
+        for (std::size_t i = 0; dbq_ && i < dbq_->size(); ++i) {
+            const cdf::DbqEntry &e = dbq_->at(i);
+            if (e.ts > flushTs && e.ckpt != kNoInst)
+                noteCkpt(e.ts, e.ckpt);
         }
         if (oldest != kNoInst)
             bp_.restore(bpCkptPool_.at(oldest));
@@ -748,16 +752,13 @@ Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
     lsq_.lq().flushYounger(flushTs);
     lsq_.sq().flushYounger(flushTs);
 
-    if (dbq_)
-        cdf::flushYounger(*dbq_, flushTs);
-    if (cmq_)
+    if (dbq_) {
+        cdf::flushYounger(*dbq_, flushTs, [&](const cdf::DbqEntry &e) {
+            if (e.ckpt != kNoInst)
+                bpCkptPool_.free(e.ckpt);
+        });
         cdf::flushYounger(*cmq_, flushTs);
-    std::erase_if(dbqCkpts_, [&](const DbqCheckpoint &c) {
-        if (c.ts <= flushTs)
-            return false;
-        bpCkptPool_.free(c.ckpt);
-        return true;
-    });
+    }
     // One divergence's walk, so ascending ts: cut the young tail.
     SIM_AUDIT(std::is_sorted(wpRecords_.begin(), wpRecords_.end(),
                              [](const WpRecord &a, const WpRecord &b) {
@@ -796,11 +797,6 @@ Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
         }
         if (inst->physDst != kInvalidReg)
             prf_.release(inst->physDst);
-        if (inst->renamedCritical) {
-            DynInst **slot = criticalByTs_.find(inst->ts);
-            if (slot && *slot == inst)
-                criticalByTs_.erase(inst->ts);
-        }
         destroyInst(inst);
     }
 
@@ -856,12 +852,11 @@ Core::recoverFromBranch(DynInst *branch)
 
     // CDF mode survives the mispredict (Section 3.6): fix the DBQ
     // entry so the regular stream follows the corrected path, and
-    // restart both streams there.
-    for (std::size_t i = 0; i < dbq_->size(); ++i) {
-        if (dbq_->at(i).ts == branch->ts) {
-            dbq_->at(i).taken = branch->taken;
-            dbq_->at(i).target = branch->actualTarget;
-        }
+    // restart both streams there. The squash dropped every younger
+    // entry, so the branch's own entry, if still queued, is the last.
+    if (!dbq_->empty() && dbq_->back().ts == branch->ts) {
+        dbq_->back().taken = branch->taken;
+        dbq_->back().target = branch->actualTarget;
     }
     restartCdfFetch(branch->actualTarget, branch->ts + 1);
     regNextTs_ = std::min(regNextTs_, branch->ts + 1);
@@ -920,8 +915,11 @@ Core::auditBpCheckpoints() const
         if (inst.hasBpCheckpoint())
             own(inst.bpCkpt, "instruction", inst.ts);
     }
-    for (const DbqCheckpoint &c : dbqCkpts_)
-        own(c.ckpt, "DBQ checkpoint", c.ts);
+    for (std::size_t i = 0; dbq_ && i < dbq_->size(); ++i) {
+        const cdf::DbqEntry &e = dbq_->at(i);
+        if (e.ckpt != kNoInst)
+            own(e.ckpt, "DBQ entry", e.ts);
+    }
     SIM_ASSERT(owners == bpCkptPool_.liveCount(),
                "checkpoint pool holds ", bpCkptPool_.liveCount(),
                " live handles but only ", owners,

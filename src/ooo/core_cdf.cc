@@ -65,10 +65,6 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     if (!t)
         return;
 
-    SIM_ASSERT(dbq_->empty(), "stale DBQ entries at CDF entry: ",
-               dbq_->size(), " oldest ts ",
-               dbq_->empty() ? 0 : dbq_->front().ts);
-
     cdfMode_ = true;
     ++statCdfEpisodes_;
 
@@ -77,8 +73,6 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     restartCdfFetch(pc, seq);
     regNextTs_ = seq;
     bbInfoQ_.clear();
-    clearDbqCheckpoints();
-    criticalByTs_.clear();
 
     applyPartitionCaps();
 }
@@ -152,13 +146,17 @@ Core::endCdfEpisode()
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
     bbInfoQ_.clear();
-    clearDbqCheckpoints();
     rat_.clearAllPoison();
-    // Note: the CMQ may still hold entries for critical uops that
+    // Every episode end finds the DBQ drained: a graceful exit waits
+    // for the regular stream to catch up with critical fetch, and an
+    // abort follows a squash to a pre-episode branch or to a
+    // violation restart no younger than the regular stream's next
+    // fetch. The CMQ may still hold entries for critical uops that
     // are fetched but not yet replayed by regular rename; rename
-    // keeps draining it. The DBQ keeps what survived a flush for the
-    // same reason: regular-stream copies already fetched still need
-    // their replays.
+    // keeps draining it.
+    SIM_ASSERT(dbq_->empty(), "stale DBQ entries at CDF episode end: ",
+               dbq_->size(), " oldest ts ",
+               dbq_->empty() ? 0 : dbq_->front().ts);
 }
 
 void
@@ -325,7 +323,8 @@ Core::fetchCriticalCdf(unsigned &budget)
                 wpRecords_[critWpBbBase_ + len - 1].ts;
         }
 
-        dbq_->push({branchTs, pred.taken, pred.target});
+        dbq_->push({branchTs, pred.taken, pred.target, pred.btbMiss,
+                    branchCritical ? kNoInst : ckpt});
 
         if (branchCritical) {
             const isa::ExecRecord &rec =
@@ -344,8 +343,6 @@ Core::fetchCriticalCdf(unsigned &budget)
             critQ_.push(binst);
             --budget;
             ++statBranches_;
-        } else {
-            dbqCkpts_.push_back({branchTs, ckpt, pred.btbMiss});
         }
 
         const Addr nextPc = pred.taken ? pred.target : branchPc + 1;
@@ -463,18 +460,19 @@ Core::fetchRegularCdf(unsigned &budget)
             inst->predTaken = dbqEntry.taken;
             inst->predTarget = dbqEntry.target;
 
+            // A non-critical branch executes in the backend via the
+            // regular stream and takes over the checkpoint taken at
+            // critical-fetch prediction time; a critical one's
+            // checkpoint stays with its critical copy.
+            SIM_ASSERT((dbqEntry.ckpt != kNoInst) == !critFlag,
+                       "DBQ entry ts ", ts,
+                       critFlag ? " holds a checkpoint for a critical "
+                                  "branch"
+                                : " has no checkpoint for a non-critical "
+                                  "branch");
             if (!critFlag) {
-                // Non-critical branch: it executes in the backend
-                // via the regular stream and takes over the
-                // checkpoint taken at critical-fetch prediction time.
-                auto it = std::find_if(
-                    dbqCkpts_.begin(), dbqCkpts_.end(),
-                    [&](const DbqCheckpoint &c) { return c.ts == ts; });
-                if (it != dbqCkpts_.end()) {
-                    inst->bpCkpt = it->ckpt;
-                    inst->btbMissBubble = it->btbMiss;
-                    dbqCkpts_.erase(it);
-                }
+                inst->bpCkpt = dbqEntry.ckpt;
+                inst->btbMissBubble = dbqEntry.btbMiss;
                 ++statBranches_;
             }
 

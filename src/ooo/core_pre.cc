@@ -186,9 +186,9 @@ Core::runaheadStep(unsigned &budget)
                 // arbitrary wrong line (the extra memory traffic the
                 // paper attributes to runahead).
                 if (tainted && uop.isLoad()) {
-                    const Addr *last = lastRetiredLoadAddr_.find(pc);
-                    if (last && (raChainLoads_ & 3) != 0) {
-                        rec.memAddr = *last;
+                    const Addr last = lastRetiredLoadAddr_[pc];
+                    if (last != kNoLoadAddr && (raChainLoads_ & 3) != 0) {
+                        rec.memAddr = last;
                     } else {
                         rec.memAddr = garbageAddr(pc, raChainLoads_);
                     }

@@ -141,17 +141,21 @@ Core::fields(Ar &ar)
     ar(cdfMode_, cdfDraining_, cdfCooldownUntil_, critRatCopied_,
        cdfStartTs_, regRenamedThroughTs_, crit_, critFetchBaseTs_,
        critOnPath_, regNextTs_, regWrongPath_, critCoveredUpTo_,
-       critWpNextTs_, critWpBbBase_);
-    criticalByTs_.fields(ar, inst);
-    ar(sized<std::uint32_t>(bbInfoQ_), sized<std::uint32_t>(wpRecords_),
-       wpConsumeIdx_, sized<std::uint32_t>(dbqCkpts_), critWpStuck_);
+       critWpNextTs_, critWpBbBase_, sized<std::uint32_t>(bbInfoQ_),
+       sized<std::uint32_t>(wpRecords_), wpConsumeIdx_, critWpStuck_);
 
     // PRE machinery. raTaint_ is a bitset<kNumArchRegs>: one u64.
     presence(ar, stallTable_);
     ifPresent(ar, stallTable_);
     ar(raActive_, raEndCycle_, ra_, sized<std::uint32_t>(raBbRecs_),
        raTaint_, raBpCkpt_, raChainLoads_, raEpisodeLoads_,
-       lastRetiredLoadAddr_, stallStartCycle_, stallCounting_);
+       sized<std::uint32_t>(lastRetiredLoadAddr_), stallStartCycle_,
+       stallCounting_);
+    SIM_ASSERT(lastRetiredLoadAddr_.size() ==
+                   (config_.mode == CoreMode::Pre ? oracle_.program().size()
+                                                  : 0),
+               "snapshot PRE load-address table does not match this "
+               "core's program");
 
     // Measurement accounting that feeds result(). The stage profile
     // and skip bookkeeping are host-only and excluded by design.

@@ -17,9 +17,6 @@
 namespace cdfsim::ooo
 {
 
-/** Null handle in the core's in-flight instruction pool. */
-inline constexpr std::uint32_t kNoInst = 0xFFFF'FFFFu;
-
 /** Progress of an instruction through the backend. */
 enum class InstState : std::uint8_t
 {

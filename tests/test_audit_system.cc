@@ -3,8 +3,10 @@
  * Corruption tests for the system-level audit walks: the core's RS
  * wakeup cache (Core::auditRsWakeupCache), its rename maps
  * (Core::auditRenameMaps), its LSQ/ROB age ordering
- * (Core::auditLsqRobAge), and the CDF side tables
- * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants).
+ * (Core::auditLsqRobAge), its branch-checkpoint ownership
+ * (Core::auditBpCheckpoints), the CDF side tables
+ * (CriticalCountTable::auditInvariants, MaskCache::auditInvariants),
+ * and the CMQ replay's check of the handle each entry carries.
  *
  * Unlike tests/test_audit.cc — which covers the header-only audited
  * containers and deliberately links only cdfsim_common — these walks
@@ -22,9 +24,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "cdf/critical_table.hh"
+#include "cdf/fifos.hh"
 #include "cdf/mask_cache.hh"
 #include "common/audit.hh"
 #include "common/logging.hh"
@@ -329,7 +333,7 @@ struct AuditPeer
     {
         ooo::DynInst *holder = nullptr;
         ooo::DynInst *other = nullptr;
-        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+        for (std::uint32_t i = c.inflightHead_; i != kNoInst;
              i = c.inflightPool_.at(i).nextIdx) {
             ooo::DynInst &inst = c.inflightPool_.at(i);
             if (!holder && inst.hasBpCheckpoint())
@@ -343,22 +347,37 @@ struct AuditPeer
         return true;
     }
 
-    /** Hand a pending DBQ checkpoint's handle to an in-flight
+    /** Hand the checkpoint a queued DBQ entry owns to an in-flight
      *  instruction as well, without removing the DBQ entry. */
     static bool
-    shareDbqCheckpoint(ooo::Core &c)
+    shareDbqEntryCkpt(ooo::Core &c)
     {
-        if (c.dbqCkpts_.empty())
+        std::uint32_t ckpt = kNoInst;
+        for (std::size_t i = 0; i < c.dbq_->size() && ckpt == kNoInst;
+             ++i)
+            ckpt = c.dbq_->at(i).ckpt;
+        if (ckpt == kNoInst)
             return false;
-        for (std::uint32_t i = c.inflightHead_; i != ooo::kNoInst;
+        for (std::uint32_t i = c.inflightHead_; i != kNoInst;
              i = c.inflightPool_.at(i).nextIdx) {
             ooo::DynInst &inst = c.inflightPool_.at(i);
             if (!inst.hasBpCheckpoint()) {
-                inst.bpCkpt = c.dbqCkpts_.front().ckpt;
+                inst.bpCkpt = ckpt;
                 return true;
             }
         }
         return false;
+    }
+
+    /** Point the oldest CMQ entry at the critical instruction of the
+     *  next one, which stays live until its own replay. */
+    static bool
+    misdirectCmqHandle(ooo::Core &c)
+    {
+        if (c.cmq_->size() < 2)
+            return false;
+        c.cmq_->front().inst = c.cmq_->at(1).inst;
+        return true;
     }
 
     // --- Core: rename maps ------------------------------------------
@@ -698,8 +717,26 @@ TEST_F(AuditSystemCdf, CritRatFiresOnDuplicateMapping)
 TEST_F(AuditSystemCdf, BpCheckpointsFireOnDbqHandleSharedWithInst)
 {
     expectFires(
-        [](auto &c) { return AuditPeer::shareDbqCheckpoint(c); },
+        [](auto &c) { return AuditPeer::shareDbqEntryCkpt(c); },
         [](auto &c) { c.auditBpCheckpoints(); });
+}
+
+TEST_F(AuditSystemCdf, CmqReplayFiresOnMisdirectedHandle)
+{
+    // Not a walk: the regular rename's replay checks the handle of
+    // every CMQ entry it pops, so the next replay must panic.
+    expectFires(
+        [](auto &c) { return AuditPeer::misdirectCmqHandle(c); },
+        [](auto &c) {
+            try {
+                c.run(c.retired() + 20'000);
+            } catch (const PanicError &e) {
+                EXPECT_NE(std::string(e.what()).find("CMQ replay"),
+                          std::string::npos)
+                    << e.what();
+                throw;
+            }
+        });
 }
 
 } // namespace

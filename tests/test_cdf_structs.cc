@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cdf/critical_table.hh"
 #include "cdf/fifos.hh"
 #include "cdf/fill_buffer.hh"
@@ -627,4 +630,17 @@ TEST(CdfFifos, FlushYoungerEdgeCases)
     EXPECT_TRUE(dbq.empty());
     flushYounger(dbq, 0); // idempotent on the emptied queue
     EXPECT_TRUE(dbq.empty());
+}
+
+TEST(CdfFifos, FlushYoungerHandsOverDroppedEntriesYoungestFirst)
+{
+    DelayedBranchQueue dbq(8);
+    for (SeqNum ts : {10u, 20u, 30u, 40u})
+        dbq.push({ts, true, ts, false, static_cast<std::uint32_t>(ts)});
+    std::vector<std::uint32_t> dropped;
+    flushYounger(dbq, 20, [&](const DbqEntry &e) {
+        dropped.push_back(e.ckpt);
+    });
+    EXPECT_EQ(dropped, (std::vector<std::uint32_t>{40, 30}));
+    EXPECT_EQ(dbq.size(), 2u);
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the simulator hot-path building blocks: the slab
- * object pool, the open-addressing flat map, and TAGE's incremental
- * folded-history maintenance. These are the pieces the cycle loop
- * leans on after the allocation/scan optimization pass; each is
- * checked against a straightforward reference implementation.
+ * object pool and TAGE's incremental folded-history maintenance.
+ * These are the pieces the cycle loop leans on after the
+ * allocation/scan optimization pass; each is checked against a
+ * straightforward reference implementation.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bp/tage.hh"
-#include "common/flat_map.hh"
 #include "common/pool.hh"
 #include "common/stats.hh"
 
@@ -109,88 +108,6 @@ TEST(SlabPool, StressAgainstReference)
     }
     for (const std::uint32_t i : liveIdx)
         EXPECT_EQ(pool.at(i), ref[i]);
-}
-
-// ---------------------------------------------------------------------
-// FlatMap
-// ---------------------------------------------------------------------
-
-TEST(FlatMap, BasicOps)
-{
-    FlatMap<std::uint64_t, int> m(~std::uint64_t{0});
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.find(7), nullptr);
-
-    m[7] = 70;
-    m[8] = 80;
-    EXPECT_EQ(m.size(), 2u);
-    ASSERT_NE(m.find(7), nullptr);
-    EXPECT_EQ(*m.find(7), 70);
-
-    m[7] = 71; // overwrite, no duplicate
-    EXPECT_EQ(m.size(), 2u);
-    EXPECT_EQ(*m.find(7), 71);
-
-    EXPECT_TRUE(m.erase(7));
-    EXPECT_FALSE(m.erase(7));
-    EXPECT_EQ(m.find(7), nullptr);
-    EXPECT_EQ(*m.find(8), 80);
-
-    m.clear();
-    EXPECT_TRUE(m.empty());
-    EXPECT_EQ(m.find(8), nullptr);
-}
-
-TEST(FlatMap, GrowthKeepsEntries)
-{
-    FlatMap<std::uint64_t, std::uint64_t> m(~std::uint64_t{0}, 16);
-    for (std::uint64_t k = 0; k < 1000; ++k)
-        m[k * 977] = k;
-    EXPECT_EQ(m.size(), 1000u);
-    for (std::uint64_t k = 0; k < 1000; ++k) {
-        ASSERT_NE(m.find(k * 977), nullptr) << k;
-        EXPECT_EQ(*m.find(k * 977), k);
-    }
-}
-
-TEST(FlatMap, FuzzAgainstUnorderedMap)
-{
-    // Small key range forces collisions, displacement chains, and
-    // backward-shift deletions through occupied runs.
-    FlatMap<std::uint64_t, std::uint32_t> m(~std::uint64_t{0}, 16);
-    std::unordered_map<std::uint64_t, std::uint32_t> ref;
-    std::mt19937 rng(999);
-    for (int step = 0; step < 50'000; ++step) {
-        const std::uint64_t k = rng() % 200;
-        switch (rng() % 4) {
-        case 0:
-        case 1: {
-            const std::uint32_t v = rng();
-            m[k] = v;
-            ref[k] = v;
-            break;
-        }
-        case 2:
-            EXPECT_EQ(m.erase(k), ref.erase(k) > 0);
-            break;
-        case 3: {
-            auto it = ref.find(k);
-            std::uint32_t *p = m.find(k);
-            if (it == ref.end()) {
-                EXPECT_EQ(p, nullptr);
-            } else {
-                ASSERT_NE(p, nullptr);
-                EXPECT_EQ(*p, it->second);
-            }
-            break;
-        }
-        }
-        ASSERT_EQ(m.size(), ref.size());
-    }
-    for (const auto &[k, v] : ref) {
-        ASSERT_NE(m.find(k), nullptr) << k;
-        EXPECT_EQ(*m.find(k), v);
-    }
 }
 
 // ---------------------------------------------------------------------

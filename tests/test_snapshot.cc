@@ -31,8 +31,9 @@ namespace cdfsim
 {
 
 /** Test-only read access to the core's wrong-path walker and the
- *  flags naming the role it serves, and to the oracle window's base
- *  and the next timestamp to retire (Core befriends AuditPeer). */
+ *  flags naming the role it serves, to the oracle window's base and
+ *  the next timestamp to retire, and to the CDF queues (Core
+ *  befriends AuditPeer). */
 struct AuditPeer
 {
     static bool walkerLive(const ooo::Core &c) { return c.walker_.active(); }
@@ -44,6 +45,20 @@ struct AuditPeer
     cdfWrongPath(const ooo::Core &c)
     {
         return c.cdfMode_ && !c.critOnPath_;
+    }
+
+    /** In a CDF episode with a DBQ entry that owns a branch
+     *  checkpoint and a CMQ entry waiting for its replay. */
+    static bool
+    cdfQueuesLoaded(const ooo::Core &c)
+    {
+        if (!c.cdfMode_ || c.cmq_->empty())
+            return false;
+        for (std::size_t i = 0; i < c.dbq_->size(); ++i) {
+            if (c.dbq_->at(i).ckpt != kNoInst)
+                return true;
+        }
+        return false;
     }
 };
 
@@ -176,25 +191,32 @@ TEST(Snapshot, MidCdfEpisodeRoundTrip)
 {
     // Snapshot while the core is INSIDE a CDF episode (fetching from
     // the uop cache, critical partition live), not at a tidy phase
-    // boundary, then check both copies march in lockstep.
+    // boundary: a DBQ entry owns a branch checkpoint and a CMQ entry
+    // names its critical instruction, so both handles go on the wire.
+    // Then check the restored copy re-saves the same bytes and both
+    // copies march in lockstep.
     const ooo::CoreConfig config = configFor(ooo::CoreMode::Cdf);
     sim::Simulator a(config, workloads::makeWorkload("mcf"));
 
-    bool entered = false;
-    for (int chunk = 0; chunk < 200 && !entered; ++chunk) {
-        a.core().run(a.core().retired() + 2'000, kNeverCycle);
-        entered = a.core().inCdfMode();
-    }
-    ASSERT_TRUE(entered)
-        << "mcf/cdf never entered CDF mode; test needs a workload "
-           "that does";
+    const auto loaded = AuditPeer::cdfQueuesLoaded;
+    for (int i = 0; i < 2'000'000 && !loaded(a.core()) &&
+                    !a.core().halted();
+         ++i)
+        a.core().tick();
+    ASSERT_TRUE(loaded(a.core()))
+        << "mcf/cdf never held a checkpoint-owning DBQ entry beside a "
+           "queued CMQ entry";
 
     SnapWriter w;
     a.saveState(w);
     sim::Simulator b(config, workloads::makeWorkload("mcf"));
     SnapReader r(w.bytes());
     b.restoreState(r);
-    EXPECT_TRUE(b.core().inCdfMode());
+    EXPECT_TRUE(r.done());
+    EXPECT_TRUE(loaded(b.core()));
+    SnapWriter resaved;
+    b.saveState(resaved);
+    EXPECT_EQ(w.bytes(), resaved.bytes());
 
     a.core().run(a.core().retired() + 20'000, kNeverCycle);
     b.core().run(b.core().retired() + 20'000, kNeverCycle);
@@ -856,18 +878,18 @@ TEST(SnapshotLayout, PayloadBytesArePinned)
         std::uint64_t fnvAudit;
     };
     const Pin pins[] = {
-        {"astar", ooo::CoreMode::Baseline, 0xe9c0c019fe6b3c03ull,
-         0x5487cee6d5501501ull},
-        {"astar", ooo::CoreMode::Cdf, 0x612cb334df21b430ull,
-         0xb5e1706169715eb8ull},
-        {"astar", ooo::CoreMode::Pre, 0x2916851e18bce32eull,
-         0x1092d076f9bd0ad5ull},
-        {"mcf", ooo::CoreMode::Baseline, 0x7065ca31f274be0bull,
-         0x95ad5e67882f3564ull},
-        {"mcf", ooo::CoreMode::Cdf, 0x89dfac9994b5cb67ull,
-         0x6ee7826ed6cab3b4ull},
-        {"mcf", ooo::CoreMode::Pre, 0xc459aec80ec40384ull,
-         0x4435135afa9d6cd3ull},
+        {"astar", ooo::CoreMode::Baseline, 0x45c9de5934986203ull,
+         0x74e64d2301ff48a1ull},
+        {"astar", ooo::CoreMode::Cdf, 0x4d01ee3648873484ull,
+         0xa06531f5fb1ec711ull},
+        {"astar", ooo::CoreMode::Pre, 0x1b2bfd0b61dada98ull,
+         0x195563ef766e8711ull},
+        {"mcf", ooo::CoreMode::Baseline, 0xd7dd179cda18854bull,
+         0x909f4f8ac1663b64ull},
+        {"mcf", ooo::CoreMode::Cdf, 0x9267e6c981c2eb01ull,
+         0xec3295a063e35f92ull},
+        {"mcf", ooo::CoreMode::Pre, 0x7fe52aa288775a7eull,
+         0x9e4bfa1c4eeada4full},
     };
     for (const Pin &pin : pins) {
         sim::Simulator s(configFor(pin.mode),

@@ -27,7 +27,7 @@
  *
  *  - missing-mutator-assert: a public mutator of the hand-rolled
  *    ring/pool structures (common/pool.hh, cycle_list.hh,
- *    circular_queue.hh, flat_map.hh) whose body contains neither
+ *    circular_queue.hh) whose body contains neither
  *    SIM_ASSERT nor SIM_AUDIT. Those structures earn their O(1)
  *    claims by maintaining invariants; a mutator with no check is a
  *    convention violation.
@@ -430,11 +430,10 @@ constexpr const char *kMutatorFiles[] = {
     "pool.hh",
     "cycle_list.hh",
     "circular_queue.hh",
-    "flat_map.hh",
 };
 
 constexpr const char *kMutators[] = {
-    "allocate", "free", "push", "pop", "pruneUpTo", "erase", "truncate",
+    "allocate", "free", "push", "pop", "pruneUpTo", "truncate",
 };
 
 void
