@@ -18,7 +18,16 @@ BranchPredictor::BranchPredictor(const PredictorConfig &config,
 BpCheckpoint
 BranchPredictor::checkpoint() const
 {
-    return {tage_.checkpoint(), ras_.snapshot()};
+    BpCheckpoint c;
+    checkpointInto(c);
+    return c;
+}
+
+void
+BranchPredictor::checkpointInto(BpCheckpoint &ckpt) const
+{
+    tage_.checkpointInto(ckpt.tage);
+    ckpt.ras = ras_.snapshot();
 }
 
 BranchPrediction

@@ -34,20 +34,26 @@ struct BranchPrediction
     TagePredictionInfo tageInfo;
 };
 
-/** Snapshot for exact recovery. */
+/**
+ * Snapshot for exact recovery, plus the record the branch trains
+ * with at resolution. Only the CDF critical fetch stores its
+ * prediction's record here; every other branch trains with the
+ * empty one the checkpoint starts with.
+ */
 struct BpCheckpoint
 {
     TageCheckpoint tage;
     Ras::Snapshot ras;
+    TagePredictionInfo info;
 
     template <typename Ar>
     void
     fields(Ar &ar)
     {
-        ar(tage, ras);
+        ar(tage, ras, info);
     }
 
-    SIM_SNAPSHOT_FIELDS(2);
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 /** Predictor configuration. */
@@ -79,6 +85,9 @@ class BranchPredictor
 
     /** Snapshot speculative state; take this *before* predict(). */
     BpCheckpoint checkpoint() const;
+
+    /** checkpoint() into @p ckpt in place, leaving its info alone. */
+    void checkpointInto(BpCheckpoint &ckpt) const;
 
     /**
      * Predict the branch uop at @p pc. Updates speculative history

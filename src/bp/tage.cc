@@ -296,6 +296,13 @@ TageCheckpoint
 Tage::checkpoint() const
 {
     TageCheckpoint c;
+    checkpointInto(c);
+    return c;
+}
+
+void
+Tage::checkpointInto(TageCheckpoint &c) const
+{
     c.history = history_;
     c.pathHistory = pathHistory_;
     for (std::size_t i = 0; i < loops_.size(); ++i)
@@ -305,7 +312,6 @@ Tage::checkpoint() const
         c.folds[2 * i] = folds_[i].full;
         c.folds[2 * i + 1] = folds_[i].partial;
     }
-    return c;
 }
 
 void

@@ -149,6 +149,11 @@ class Tage
     /** Snapshot speculative state (taken before predict()). */
     TageCheckpoint checkpoint() const;
 
+    /** checkpoint() into @p ckpt in place. Writes only the loop and
+     *  fold entries this configuration uses; the rest of @p ckpt is
+     *  left as it was (zero in a fresh checkpoint). */
+    void checkpointInto(TageCheckpoint &ckpt) const;
+
     /** Restore state after a mispredict, then re-insert the actual
      *  outcome of the recovering branch at @p pc. */
     void recover(const TageCheckpoint &ckpt, bool actualTaken,

@@ -12,7 +12,8 @@
  *  - Critical Map Queue (CMQ): destination physical registers
  *    assigned by the critical rename stage, replayed into the
  *    regular RAT in program order by the regular rename stage. Each
- *    entry names the critical-stream instruction it came from.
+ *    entry names the critical-stream instruction it came from, which
+ *    holds the mapping to replay.
  *
  * Both are program-ordered, so a mispredict/violation flush is a
  * truncate at the offending timestamp.
@@ -49,12 +50,11 @@ struct DbqEntry
     SIM_SNAPSHOT_FIELDS(5);
 };
 
-/** One Critical Map Queue entry. */
+/** One Critical Map Queue entry. The replay reads the mapping
+ *  (the uop's dst, its physDst) from the named instruction. */
 struct CmqEntry
 {
     SeqNum ts = 0;        //!< timestamp of the critical uop
-    RegId archDst = kInvalidReg;
-    RegId physDst = kInvalidReg;
     /** In-flight pool handle of the critical-stream instruction. */
     std::uint32_t inst = kNoInst;
 
@@ -62,10 +62,10 @@ struct CmqEntry
     void
     fields(Ar &ar)
     {
-        ar(ts, archDst, physDst, inst);
+        ar(ts, inst);
     }
 
-    SIM_SNAPSHOT_FIELDS(4);
+    SIM_SNAPSHOT_FIELDS(2);
 };
 
 /** Delayed Branch Queue (Table 1: 256 entries). */

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/audit.hh"
@@ -24,17 +25,19 @@ namespace cdfsim
  * Objects live in fixed-size slabs that are never moved or released,
  * so pointers stay valid for an object's whole lifetime and slots can
  * be handed out as compact 32-bit handles. allocate() constructs a
- * value-initialized T in a recycled slot — after a slab is warm there
- * is no heap traffic at all. alive() answers whether a handle
- * currently names a live object, which lets deferred references
- * (e.g. wakeup lists) validate a stale handle before dereferencing.
+ * fresh T in a recycled slot — after a slab is warm there is no heap
+ * traffic at all. A T with a non-trivial default constructor (every
+ * field has an initializer) is default-initialized, so the slot is
+ * written once, field by field, instead of zero-filled first; a
+ * trivially constructible T is value-initialized (zeroed). alive()
+ * answers whether a handle currently names a live object, which lets
+ * deferred references (e.g. wakeup lists) validate a stale handle
+ * before dereferencing.
  */
 template <typename T>
 class SlabPool
 {
   public:
-    static constexpr std::uint32_t kNpos = 0xFFFF'FFFFu;
-
     /** @p slabSize must be a power of two: handles split into slab
      *  and slot with a shift and a mask, never a division. */
     explicit SlabPool(std::uint32_t slabSize = 1024)
@@ -56,7 +59,8 @@ class SlabPool
         }
     }
 
-    /** Construct a value-initialized T; returns its handle. */
+    /** Construct a fresh T (see the class comment); returns its
+     *  handle. */
     std::uint32_t allocate()
     {
         if (freeList_.empty())
@@ -64,7 +68,7 @@ class SlabPool
         const std::uint32_t idx = freeList_.back();
         freeList_.pop_back();
         SIM_ASSERT(!alive_[idx], "allocating a slot that is already live");
-        ::new (slotPtr(idx)) T();
+        construct(idx);
         alive_[idx] = 1;
         ++live_;
         SIM_AUDIT_ONLY(if (auditTick_.due()) auditInvariants();)
@@ -191,7 +195,7 @@ class SlabPool
             if (!alive_[i])
                 continue;
             if constexpr (Ar::kLoading) {
-                ::new (slotPtr(i)) T();
+                construct(i);
                 ++live_;
             }
             elem(ar, at(i));
@@ -206,6 +210,14 @@ class SlabPool
     {
         alignas(T) unsigned char raw[sizeof(T)];
     };
+
+    void construct(std::uint32_t idx)
+    {
+        if constexpr (std::is_trivially_default_constructible_v<T>)
+            ::new (slotPtr(idx)) T();
+        else
+            ::new (slotPtr(idx)) T;
+    }
 
     void *slotPtr(std::uint32_t idx)
     {

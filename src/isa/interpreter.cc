@@ -11,8 +11,8 @@ Interpreter::Interpreter(const Program &program, MemoryImage &memory)
     SIM_ASSERT(!program.code.empty(), "empty program");
 }
 
-ExecRecord
-Interpreter::step()
+void
+Interpreter::stepInto(ExecRecord &r)
 {
     SIM_ASSERT(!halted_, "step() after halt");
     SIM_ASSERT(program_.validPc(pc_), "PC ", pc_, " out of range in '",
@@ -24,10 +24,9 @@ Interpreter::step()
     const std::uint64_t s2 =
         uop.src2 == kInvalidReg ? 0 : regs_[uop.src2];
 
-    ExecRecord r = evaluate(
-        pc_, uop, s1, s2,
-        [this](Addr a) { return memory_.read(a); },
-        [this](Addr a, std::uint64_t v) { memory_.write(a, v); });
+    evaluate(r, pc_, uop, s1, s2,
+             [this](Addr a) { return memory_.read(a); },
+             [this](Addr a, std::uint64_t v) { memory_.write(a, v); });
 
     r.seq = executed_;
     if (uop.writesReg())
@@ -37,7 +36,6 @@ Interpreter::step()
     ++executed_;
     if (r.halt)
         halted_ = true;
-    return r;
 }
 
 } // namespace cdfsim::isa

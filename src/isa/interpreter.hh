@@ -3,8 +3,8 @@
  * Functional interpreter of the uop ISA.
  *
  * Produces, per executed uop, an ExecRecord carrying everything the
- * timing model needs: source values, result, memory address, branch
- * outcome and next PC. The oracle stream (oracle.hh) is a thin
+ * timing model needs: result, memory address, branch outcome and
+ * next PC. The oracle stream (oracle.hh) is a thin
  * indexed window over these records.
  */
 
@@ -32,24 +32,25 @@ struct ExecRecord
     SeqNum seq = 0;           //!< dynamic index == program-order timestamp
     Addr pc = 0;              //!< static uop index
     Uop uop;                  //!< the static uop
-    std::uint64_t srcVal1 = 0;
-    std::uint64_t srcVal2 = 0;
     std::uint64_t result = 0; //!< dst value, or store data for stores
     Addr memAddr = 0;         //!< effective address for loads/stores
-    bool taken = false;       //!< branch outcome (uncond branches: true)
     Addr nextPc = 0;          //!< correct-path successor PC
+    bool taken = false;       //!< branch outcome (uncond branches: true)
     bool halt = false;        //!< this uop ends the program
 
     template <typename Ar>
     void
     fields(Ar &ar)
     {
-        ar(seq, pc, uop, srcVal1, srcVal2, result, memAddr, taken, nextPc,
-           halt);
+        ar(seq, pc, uop, result, memAddr, nextPc, taken, halt);
     }
 
-    SIM_SNAPSHOT_FIELDS(10);
+    SIM_SNAPSHOT_FIELDS(8);
 };
+
+// The oracle window and the CDF wrong-path buffer hold one record
+// per in-flight uop; keep it to a cache line.
+static_assert(sizeof(ExecRecord) <= 64, "ExecRecord grew past 64 bytes");
 
 /**
  * Executes a Program against a register file and a MemoryImage.
@@ -64,10 +65,20 @@ class Interpreter
     Interpreter(const Program &program, MemoryImage &memory);
 
     /**
-     * Execute the uop at the current PC and advance. Must not be
-     * called after a Halt has been executed.
+     * Execute the uop at the current PC into @p r and advance. Every
+     * field of @p r is overwritten, so it may hold a previous record.
+     * Must not be called after a Halt has been executed.
      */
-    ExecRecord step();
+    void stepInto(ExecRecord &r);
+
+    /** stepInto() a fresh record and return it. */
+    ExecRecord
+    step()
+    {
+        ExecRecord r;
+        stepInto(r);
+        return r;
+    }
 
     /** True once a Halt uop has executed. */
     bool halted() const { return halted_; }
@@ -85,21 +96,24 @@ class Interpreter
 
     /**
      * Pure function: compute the effect of @p uop at @p pc given
-     * operand values, reading/writing @p mem through the supplied
-     * callbacks. Shared between the interpreter and the wrong-path
-     * walker so the two can never diverge in semantics.
+     * operand values into @p r, reading/writing memory through the
+     * supplied callbacks. Writes every field but seq, which the
+     * caller assigns, so @p r can be a reused slot. Shared between
+     * the interpreter and the wrong-path walker so the two can never
+     * diverge in semantics.
      */
     template <typename ReadFn, typename WriteFn>
-    static ExecRecord
-    evaluate(Addr pc, const Uop &uop, std::uint64_t s1, std::uint64_t s2,
-             ReadFn &&read, WriteFn &&write)
+    static void
+    evaluate(ExecRecord &r, Addr pc, const Uop &uop, std::uint64_t s1,
+             std::uint64_t s2, ReadFn &&read, WriteFn &&write)
     {
-        ExecRecord r;
         r.pc = pc;
         r.uop = uop;
-        r.srcVal1 = s1;
-        r.srcVal2 = s2;
+        r.result = 0;
+        r.memAddr = 0;
         r.nextPc = pc + 1;
+        r.taken = false;
+        r.halt = false;
         switch (uop.op) {
           case Opcode::Nop:
             break;
@@ -161,7 +175,6 @@ class Interpreter
             r.nextPc = pc;
             break;
         }
-        return r;
     }
 
     /** Snapshot cursor state (memory is serialized separately). */

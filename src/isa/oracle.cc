@@ -15,16 +15,22 @@ OracleStream::OracleStream(const Program &program, MemoryImage &memory)
 }
 
 void
+OracleStream::extend()
+{
+    ExecRecord &r = window_.emplace_back();
+    interp_.stepInto(r);
+    if (r.halt) {
+        sawHalt_ = true;
+        haltSeq_ = r.seq;
+    }
+}
+
+void
 OracleStream::materializeTo(SeqNum seq)
 {
     while (frontier() <= seq) {
         SIM_ASSERT(!sawHalt_, "oracle read past Halt (seq ", seq, ")");
-        ExecRecord r = interp_.step();
-        if (r.halt) {
-            sawHalt_ = true;
-            haltSeq_ = r.seq;
-        }
-        window_.push_back(std::move(r));
+        extend();
     }
 }
 
@@ -46,14 +52,8 @@ OracleStream::hasRecord(SeqNum seq)
         return false;
     // Materialize up to the requested index or the halt, whichever
     // comes first.
-    while (frontier() <= seq && !sawHalt_) {
-        ExecRecord r = interp_.step();
-        if (r.halt) {
-            sawHalt_ = true;
-            haltSeq_ = r.seq;
-        }
-        window_.push_back(std::move(r));
-    }
+    while (frontier() <= seq && !sawHalt_)
+        extend();
     return seq < frontier();
 }
 
@@ -81,8 +81,8 @@ WrongPathWalker::restart(const RegFile &regs)
     active_ = true;
 }
 
-ExecRecord
-WrongPathWalker::execute(Addr pc)
+void
+WrongPathWalker::executeInto(ExecRecord &r, Addr pc)
 {
     SIM_ASSERT(active_, "wrong-path walker used while inactive");
     SIM_ASSERT(program_.validPc(pc), "wrong-path PC out of range");
@@ -93,8 +93,8 @@ WrongPathWalker::execute(Addr pc)
     const std::uint64_t s2 =
         uop.src2 == kInvalidReg ? 0 : regs_[uop.src2];
 
-    ExecRecord r = Interpreter::evaluate(
-        pc, uop, s1, s2,
+    Interpreter::evaluate(
+        r, pc, uop, s1, s2,
         [this](Addr a) -> std::uint64_t {
             auto it = storeBuf_.find(a >> 3);
             if (it != storeBuf_.end())
@@ -106,7 +106,6 @@ WrongPathWalker::execute(Addr pc)
     if (uop.writesReg())
         regs_[uop.dst] = r.result;
     r.seq = kInvalidSeq; // wrong-path records have no program order
-    return r;
 }
 
 template <typename Ar>

@@ -84,6 +84,8 @@ class OracleStream
 
   private:
     void materializeTo(SeqNum seq);
+    /** Step the interpreter once, into a new record at the back. */
+    void extend();
 
     SIM_SNAPSHOT_FIELDS(5);
 
@@ -115,10 +117,19 @@ class WrongPathWalker
 
     /**
      * Functionally execute the uop at @p pc against the shadow
-     * state. Returns the record; the caller decides which PC to
-     * fetch next.
+     * state into @p r, overwriting every field. The caller decides
+     * which PC to fetch next.
      */
-    ExecRecord execute(Addr pc);
+    void executeInto(ExecRecord &r, Addr pc);
+
+    /** executeInto() a fresh record and return it. */
+    ExecRecord
+    execute(Addr pc)
+    {
+        ExecRecord r;
+        executeInto(r, pc);
+        return r;
+    }
 
     bool active() const { return active_; }
     void deactivate() { active_ = false; }

@@ -221,7 +221,7 @@ std::uint32_t
 Core::takeBpCheckpoint()
 {
     const std::uint32_t h = bpCkptPool_.allocate();
-    bpCkptPool_.at(h) = bp_.checkpoint();
+    bp_.checkpointInto(bpCkptPool_.at(h));
     return h;
 }
 
@@ -501,7 +501,7 @@ Core::fetchRegularBaseline(unsigned &budget)
                     return;
             }
         } else {
-            wpRec = walker_.execute(wrongPathPc_);
+            walker_.executeInto(wpRec, wrongPathPc_);
             recp = &wpRec;
             ts = ++wrongPathTs_;
         }

@@ -502,7 +502,8 @@ class Core
     std::uint32_t inflightTail_ = kNoInst; //!< youngest in flight
 
     /** Branch checkpoints, owned by DynInst::bpCkpt or a
-     *  cdf::DbqEntry (see auditBpCheckpoints()). */
+     *  cdf::DbqEntry (see auditBpCheckpoints()). Each also holds the
+     *  prediction record its branch trains with (finishInst). */
     SlabPool<bp::BpCheckpoint> bpCkptPool_{256};
 
     /** squashYoungerThan's victims (reused): frontend entries, then

@@ -150,8 +150,7 @@ Core::renameCritical(unsigned &slots)
         if (traceTs(inst->ts))
             std::fprintf(stderr, "[%lu] CRITRENAME ts=%lu\n", now_,
                          inst->ts);
-        cmq_->push({inst->ts, inst->uop.dst, inst->physDst,
-                    inst->poolIdx});
+        cmq_->push({inst->ts, inst->poolIdx});
 
         critQ_.pop();
         --slots;
@@ -193,8 +192,8 @@ Core::renameRegularOne(SeqNum &depViolationTs)
         real->hasPoisonSnapshot = true;
         real->poisonSnapshot = rat_.poisonBits();
         if (inst->uop.writesReg()) {
-            RegId old = rat_.replay(e.archDst, e.physDst);
-            rat_.clearPoison(e.archDst);
+            RegId old = rat_.replay(real->uop.dst, real->physDst);
+            rat_.clearPoison(real->uop.dst);
             real->oldPhysDst = old;
             real->renamedRegular = true;
         } else {
@@ -461,8 +460,11 @@ Core::finishInst(DynInst *inst)
     inst->state = InstState::Completed;
 
     if (inst->isBranch() && inst->onPath) {
-        bp_.update(inst->pc, inst->uop, inst->taken,
-                   inst->actualTarget, inst->tageInfo);
+        static constexpr bp::TagePredictionInfo kNoPrediction{};
+        bp_.update(inst->pc, inst->uop, inst->taken, inst->actualTarget,
+                   inst->hasBpCheckpoint()
+                       ? bpCkptPool_.at(inst->bpCkpt).info
+                       : kNoPrediction);
         if (inst->mispredicted)
             recoverFromBranch(inst);
     }

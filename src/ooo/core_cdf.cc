@@ -223,8 +223,10 @@ Core::fetchCriticalCdf(unsigned &budget)
                         critWpStuck_ = true;
                         return;
                     }
-                    wpRecords_.push_back({walker_.execute(pc),
-                                          critWpNextTs_ + off, false});
+                    WpRecord &w = wpRecords_.emplace_back();
+                    walker_.executeInto(w.rec, pc);
+                    w.ts = critWpNextTs_ + off;
+                    w.critical = false;
                 }
                 critWpNextTs_ += crit_.trace.blockLength;
                 critWpBbBase_ = base;
@@ -338,7 +340,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             binst->predTaken = pred.taken;
             binst->predTarget = pred.target;
             binst->btbMissBubble = pred.btbMiss;
-            binst->tageInfo = pred.tageInfo;
+            bpCkptPool_.at(ckpt).info = pred.tageInfo;
             binst->mispredicted = critOnPath_ && misp;
             critQ_.push(binst);
             --budget;

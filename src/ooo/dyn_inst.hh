@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "bp/predictor.hh"
 #include "common/serialize.hh"
 #include "common/types.hh"
 #include "isa/uop.hh"
@@ -79,7 +78,8 @@ struct DynInst
     // --- Recovery state ---
     /** Handle of this branch's predictor checkpoint in the core's
      *  checkpoint pool (kNoInst: none). Only branches hold one, so
-     *  the ~0.7 KB checkpoint lives off the instruction record. */
+     *  the ~0.8 KB checkpoint, and the prediction record the branch
+     *  trains with at resolution, live off the instruction record. */
     std::uint32_t bpCkpt = kNoInst;
     /** Transient mark set while a squash collects its victims. */
     bool doomed = false;
@@ -89,9 +89,6 @@ struct DynInst
     std::uint32_t poolIdx = kNoInst;
     std::uint32_t prevIdx = kNoInst;
     std::uint32_t nextIdx = kNoInst;
-
-    // --- Branch training (cold: read once, at resolution) ---
-    bp::TagePredictionInfo tageInfo;
 
     bool isLoad() const { return uop.isLoad(); }
     bool isStore() const { return uop.isStore(); }
@@ -115,15 +112,15 @@ struct DynInst
            renamedCritical, hasPoisonSnapshot, poisonSnapshot, state,
            fetchCycle, renameCycle, readyAtRename, completionCycle,
            rsNextTry, llcMiss, l1Miss, forwardSrcTs, addrKnown, bpCkpt,
-           doomed, poolIdx, prevIdx, nextIdx, tageInfo);
+           doomed, poolIdx, prevIdx, nextIdx);
     }
 
-    SIM_SNAPSHOT_FIELDS(40);
+    SIM_SNAPSHOT_FIELDS(39);
 };
 
 // Every fetched uop carries one of these; keep it small enough that
 // the in-flight pool stays cache-resident.
-static_assert(sizeof(DynInst) <= 320, "DynInst grew past 320 bytes");
+static_assert(sizeof(DynInst) <= 208, "DynInst grew past 208 bytes");
 
 } // namespace cdfsim::ooo
 

@@ -10,6 +10,7 @@
 #include "common/audit.hh"
 #include "ooo/core.hh"
 #include "sim/simulator.hh"
+#include "sim/sweep.hh"
 #include "workloads/workloads.hh"
 
 namespace cdfsim
@@ -26,6 +27,53 @@ struct AuditPeer
     }
 
     static bool &critWpStuck(ooo::Core &c) { return c.critWpStuck_; }
+
+    /** Live branch checkpoints, split by whose training record they
+     *  hold: a critical-stream conditional branch's, or anyone
+     *  else's; "filled" counts those whose record is not empty. */
+    struct TrainingRecords
+    {
+        unsigned criticalCond = 0;
+        unsigned criticalCondFilled = 0;
+        unsigned nonCriticalCdf = 0; //!< of others: CDF regular stream
+        unsigned others = 0;
+        unsigned othersFilled = 0;
+    };
+
+    static void
+    tallyTrainingRecords(const ooo::Core &c, TrainingRecords &t)
+    {
+        const auto filled = [&](std::uint32_t ckpt) {
+            static const bp::TagePredictionInfo kEmpty;
+            SnapWriter a;
+            SnapWriter b;
+            a(c.bpCkptPool_.at(ckpt).info);
+            b(kEmpty);
+            return a.bytes() != b.bytes();
+        };
+        for (std::uint32_t i = c.inflightHead_; i != kNoInst;
+             i = c.inflightPool_.at(i).nextIdx) {
+            const ooo::DynInst &inst = c.inflightPool_.at(i);
+            if (!inst.hasBpCheckpoint())
+                continue;
+            if (inst.criticalStream && inst.uop.isCondBranch()) {
+                ++t.criticalCond;
+                t.criticalCondFilled += filled(inst.bpCkpt);
+            } else {
+                ++t.others;
+                t.othersFilled += filled(inst.bpCkpt);
+                t.nonCriticalCdf +=
+                    inst.cdfFetched && !inst.criticalStream;
+            }
+        }
+        // Checkpoints a DBQ entry holds for the regular stream.
+        for (std::size_t k = 0; c.dbq_ && k < c.dbq_->size(); ++k) {
+            if (c.dbq_->at(k).ckpt == kNoInst)
+                continue;
+            ++t.others;
+            t.othersFilled += filled(c.dbq_->at(k).ckpt);
+        }
+    }
 };
 
 } // namespace cdfsim
@@ -201,6 +249,39 @@ TEST(CoreCdf, RecoveryClearsStuckWrongPathWalk)
     ASSERT_TRUE(survived) << "every divergence ended its CDF episode";
     EXPECT_FALSE(AuditPeer::critWpStuck(core));
     EXPECT_NO_THROW(core.run(core.retired() + 50'000));
+}
+
+TEST(CoreCdf, BranchTrainingRecordSites)
+{
+    // A branch trains at resolution with the prediction record its
+    // checkpoint holds. Only CDF's critical fetch stores one (for a
+    // conditional branch); baseline branches and CDF's non-critical
+    // branches, whose prediction travels in the DBQ, train with the
+    // empty record. Storing it at every site is a predictor change
+    // that moves simulated stats; that change flips this test.
+    for (const ooo::CoreMode mode :
+         {ooo::CoreMode::Baseline, ooo::CoreMode::Cdf}) {
+        ooo::CoreConfig cfg = cdfConfig();
+        cfg.mode = mode;
+        sim::Simulator sim(cfg, workloads::makeWorkload("astar"));
+        ooo::Core &core = sim.core();
+        core.run(40'000);
+        AuditPeer::TrainingRecords t;
+        for (int i = 0; i < 5'000; ++i) {
+            core.tick();
+            AuditPeer::tallyTrainingRecords(core, t);
+        }
+        const char *name = sim::toString(mode);
+        EXPECT_GT(t.others, 0u) << name;
+        EXPECT_EQ(t.othersFilled, 0u) << name;
+        if (mode == ooo::CoreMode::Baseline) {
+            EXPECT_EQ(t.criticalCond, 0u);
+            continue;
+        }
+        EXPECT_GT(t.criticalCond, 0u);
+        EXPECT_EQ(t.criticalCondFilled, t.criticalCond);
+        EXPECT_GT(t.nonCriticalCdf, 0u);
+    }
 }
 
 TEST(CorePre, RunaheadPrefetchesComputableChains)

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/logging.hh"
 #include "isa/interpreter.hh"
@@ -449,6 +453,105 @@ TEST(WrongPathWalker, SharedEvaluateMatchesInterpreter)
     EXPECT_EQ(i0.result, w0.result);
     EXPECT_EQ(i1.result, w1.result);
     EXPECT_EQ(i2.result, w2.result);
+}
+
+namespace
+{
+
+/** A straight run through every opcode: each ALU op, a store and a
+ *  load, a not-taken and a taken conditional branch, a jump, and a
+ *  call whose callee returns to the halt. */
+Program
+everyOpcodeProgram()
+{
+    ProgramBuilder b("every_op");
+    const auto l1 = b.makeLabel();
+    const auto l2 = b.makeLabel();
+    const auto l3 = b.makeLabel();
+    const auto fn = b.makeLabel();
+    b.movi(1, 0x5000).movi(2, 7).nop();
+    b.add(3, 1, 2).sub(4, 3, 2).mul(5, 2, 2).div(6, 5, 2);
+    b.and_(7, 5, 2).or_(8, 5, 2).xor_(9, 5, 2).shl(10, 2, 2);
+    b.shr(11, 5, 2).cmplt(12, 2, 5).cmpeq(13, 2, 2).mov(14, 5);
+    b.addi(15, 2, -3).fadd(16, 2, 5).fmul(17, 2, 5).fdiv(18, 5, 2);
+    b.store(1, 8, 2).load(19, 1, 8);
+    b.beqz(2, l1);
+    b.bind(l1);
+    b.bnez(2, l2);
+    b.bind(l2);
+    b.jmp(l3);
+    b.bind(l3);
+    b.call(20, fn);
+    b.halt();
+    b.bind(fn);
+    b.ret(20);
+    return b.build();
+}
+
+/** Fill @p r with a non-zero byte pattern, as a reused slot holds. */
+void
+dirty(ExecRecord &r)
+{
+    static_assert(std::is_trivially_copyable_v<ExecRecord>);
+    std::memset(static_cast<void *>(&r), 0xA5, sizeof(r));
+}
+
+std::vector<std::uint8_t>
+bytesOf(const ExecRecord &r)
+{
+    SnapWriter w;
+    w(r);
+    return w.take();
+}
+
+} // namespace
+
+TEST(Isa, EvaluateIntoDirtyRecordMatchesFresh)
+{
+    // Fetch evaluates records into reused slots (the oracle window,
+    // the CDF wrong-path buffer), so evaluation must write every
+    // field: a stale taken/halt/memAddr/result would leak into the
+    // timing model.
+    const Program p = everyOpcodeProgram();
+    std::set<Opcode> seen;
+
+    MemoryImage m1;
+    MemoryImage m2;
+    Interpreter fresh(p, m1);
+    Interpreter reused(p, m2);
+    ExecRecord slot;
+    while (!fresh.halted()) {
+        ExecRecord a;
+        fresh.stepInto(a);
+        dirty(slot);
+        reused.stepInto(slot);
+        seen.insert(a.uop.op);
+        EXPECT_EQ(bytesOf(a), bytesOf(slot))
+            << "interpreter, " << toString(a.uop);
+    }
+    EXPECT_TRUE(reused.halted());
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(Opcode::Halt) + 1)
+        << "the program no longer covers every opcode";
+
+    // The walker, from a register state where both branches are
+    // taken one way and not the other, over every pc in turn.
+    WrongPathWalker wFresh(p, m1);
+    WrongPathWalker wReused(p, m2);
+    RegFile regs{};
+    regs[1] = 0x6000;
+    regs[2] = 0; // beqz taken, bnez not
+    regs[20] = 3;
+    wFresh.restart(regs);
+    wReused.restart(regs);
+    for (Addr pc = 0; pc < p.size(); ++pc) {
+        ExecRecord a;
+        wFresh.executeInto(a, pc);
+        dirty(slot);
+        wReused.executeInto(slot, pc);
+        EXPECT_EQ(bytesOf(a), bytesOf(slot))
+            << "walker, " << toString(a.uop);
+        EXPECT_EQ(a.seq, kInvalidSeq);
+    }
 }
 
 // --- Uop helpers ---

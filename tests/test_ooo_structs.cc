@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
+#include <type_traits>
+#include <vector>
 
+#include "common/pool.hh"
 #include "common/random.hh"
 #include "ooo/core.hh"
 #include "ooo/lsq.hh"
@@ -592,4 +597,53 @@ TEST(BbInfo, CriticalOffsetsBeyondTheMaskWord)
     EXPECT_TRUE(bb.highOffsets.empty());
     for (unsigned off = 0; off < 100; ++off)
         EXPECT_EQ(bb.critical(off), off == 3) << "offset " << off;
+}
+
+namespace
+{
+
+template <typename T>
+std::vector<std::uint8_t>
+serialized(T &x)
+{
+    SnapWriter w;
+    x.fields(w);
+    return w.take();
+}
+
+/** Free a garbage-filled SlabPool<T> slot and reallocate it: the new
+ *  object must serialize exactly like a fresh T{}. */
+template <typename T>
+void
+expectRecycledSlotIsDefault(const char *what)
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "the slot is dirtied with memset");
+    SlabPool<T> pool(4);
+    const std::uint32_t h = pool.allocate();
+    unsigned char *raw = reinterpret_cast<unsigned char *>(&pool.at(h));
+    std::memset(raw, 0xA5, sizeof(T));
+    // Read the garbage back so the stores are really made before the
+    // slot is recycled.
+    const std::vector<unsigned char> dirty(raw, raw + sizeof(T));
+    ASSERT_EQ(std::count(dirty.begin(), dirty.end(), 0xA5),
+              static_cast<std::ptrdiff_t>(sizeof(T)));
+    pool.free(h);
+
+    ASSERT_EQ(pool.allocate(), h) << what << ": LIFO reuse expected";
+    T fresh{};
+    EXPECT_EQ(serialized(pool.at(h)), serialized(fresh))
+        << what << ": a recycled slot kept stale bytes in a field; "
+                   "every field needs a default member initializer";
+}
+
+} // namespace
+
+TEST(Pool, RecycledDynInstIsDefault)
+{
+    // SlabPool default-initializes non-trivial types (no zero fill),
+    // so a field without an initializer would inherit whatever the
+    // slot's previous occupant left there.
+    expectRecycledSlotIsDefault<DynInst>("DynInst");
+    expectRecycledSlotIsDefault<bp::BpCheckpoint>("BpCheckpoint");
 }

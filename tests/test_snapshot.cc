@@ -878,18 +878,18 @@ TEST(SnapshotLayout, PayloadBytesArePinned)
         std::uint64_t fnvAudit;
     };
     const Pin pins[] = {
-        {"astar", ooo::CoreMode::Baseline, 0x45c9de5934986203ull,
-         0x74e64d2301ff48a1ull},
-        {"astar", ooo::CoreMode::Cdf, 0x4d01ee3648873484ull,
-         0xa06531f5fb1ec711ull},
-        {"astar", ooo::CoreMode::Pre, 0x1b2bfd0b61dada98ull,
-         0x195563ef766e8711ull},
-        {"mcf", ooo::CoreMode::Baseline, 0xd7dd179cda18854bull,
-         0x909f4f8ac1663b64ull},
-        {"mcf", ooo::CoreMode::Cdf, 0x9267e6c981c2eb01ull,
-         0xec3295a063e35f92ull},
-        {"mcf", ooo::CoreMode::Pre, 0x7fe52aa288775a7eull,
-         0x9e4bfa1c4eeada4full},
+        {"astar", ooo::CoreMode::Baseline, 0xe8f862a26c91106full,
+         0x094e36dc35fe82bdull},
+        {"astar", ooo::CoreMode::Cdf, 0xb87e4c134438ecb6ull,
+         0xe38a76b5ca71cc5full},
+        {"astar", ooo::CoreMode::Pre, 0x55652028e04a565cull,
+         0x14f254e486a68285ull},
+        {"mcf", ooo::CoreMode::Baseline, 0x633802ecc6595820ull,
+         0x7ab73437a1413a27ull},
+        {"mcf", ooo::CoreMode::Cdf, 0xf9f81d11c76e7a7dull,
+         0xebedb7de3436e7b6ull},
+        {"mcf", ooo::CoreMode::Pre, 0x14366ed41fa6ab7aull,
+         0x39f3b3f394fb68e7ull},
     };
     for (const Pin &pin : pins) {
         sim::Simulator s(configFor(pin.mode),
