@@ -18,20 +18,21 @@ CriticalUopCache::CriticalUopCache(const UopCacheConfig &config,
         fatal("critical uop cache: zero capacity");
 }
 
-const BbTrace *
+const SharedTrace &
 CriticalUopCache::lookup(Addr pc, Cycle now)
 {
+    static const SharedTrace kMiss;
     auto it = traces_.find(pc);
-    if (it == traces_.end() || it->second->readyCycle > now) {
+    if (it == traces_.end() || (*it->second)->readyCycle > now) {
         ++misses_;
         if (it != traces_.end())
             ++missesNotReady_;
-        return nullptr;
+        return kMiss;
     }
     ++hits_;
     // Move to MRU position.
     lru_.splice(lru_.begin(), lru_, it->second);
-    return &*it->second;
+    return *it->second;
 }
 
 bool
@@ -44,7 +45,7 @@ void
 CriticalUopCache::evictOne()
 {
     SIM_ASSERT(!lru_.empty(), "evict from empty uop cache");
-    const BbTrace &victim = lru_.back();
+    const BbTrace &victim = *lru_.back();
     usedLines_ -= victim.lines();
     traces_.erase(victim.startPc);
     lru_.pop_back();
@@ -55,6 +56,11 @@ void
 CriticalUopCache::insert(BbTrace trace, Cycle now)
 {
     trace.readyCycle = now + config_.fillLatency;
+    trace.criticalMask = 0;
+    for (const TraceUop &tu : trace.uops) {
+        if (tu.offsetInBlock < 64)
+            trace.criticalMask |= std::uint64_t{1} << tu.offsetInBlock;
+    }
 
     if (trace.lines() > config_.capacityLines)
         return; // pathological block; never cacheable
@@ -65,7 +71,7 @@ CriticalUopCache::insert(BbTrace trace, Cycle now)
         // re-impose the fill latency: the resident copy stays
         // usable. Only a changed trace (different critical subset)
         // pays the latency again.
-        const BbTrace &old = *it->second;
+        const BbTrace &old = **it->second;
         bool same = old.blockLength == trace.blockLength &&
                     old.uops.size() == trace.uops.size();
         for (std::size_t i = 0; same && i < trace.uops.size(); ++i) {
@@ -77,7 +83,7 @@ CriticalUopCache::insert(BbTrace trace, Cycle now)
             ++fills_;
             return;
         }
-        usedLines_ -= it->second->lines();
+        usedLines_ -= (*it->second)->lines();
         lru_.erase(it->second);
         traces_.erase(it);
     }
@@ -86,8 +92,8 @@ CriticalUopCache::insert(BbTrace trace, Cycle now)
         evictOne();
 
     usedLines_ += trace.lines();
-    lru_.push_front(std::move(trace));
-    traces_[lru_.front().startPc] = lru_.begin();
+    lru_.push_front(std::make_shared<const BbTrace>(std::move(trace)));
+    traces_[lru_.front()->startPc] = lru_.begin();
     ++fills_;
 }
 
@@ -97,7 +103,7 @@ CriticalUopCache::remove(Addr pc)
     auto it = traces_.find(pc);
     if (it == traces_.end())
         return;
-    usedLines_ -= it->second->lines();
+    usedLines_ -= (*it->second)->lines();
     lru_.erase(it->second);
     traces_.erase(it);
 }

@@ -16,8 +16,10 @@
 #ifndef CDFSIM_CDF_UOP_CACHE_HH
 #define CDFSIM_CDF_UOP_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +47,12 @@ struct TraceUop
     SIM_SNAPSHOT_FIELDS(2);
 };
 
-/** A basic-block trace of critical uops. */
+/**
+ * A basic-block trace of critical uops. The uop cache seals each
+ * trace as it takes it (insert() stamps readyCycle and the critical
+ * mask) and from then on shares it immutably: fetch cursors and the
+ * critical-to-regular handoff hold the same object.
+ */
 struct BbTrace
 {
     Addr startPc = 0;            //!< tag: first uop of the basic block
@@ -54,6 +61,7 @@ struct BbTrace
     bool endsInBranch = false;   //!< last uop of the BB is a branch
     Addr branchPc = 0;           //!< PC of that branch (== start+len-1)
     Cycle readyCycle = 0;        //!< fill latency gate (Section 3.2)
+    std::uint64_t criticalMask = 0; //!< critical offsets below 64
 
     /** 8-uop lines this trace occupies (capacity accounting). */
     unsigned
@@ -63,15 +71,59 @@ struct BbTrace
         return n == 0 ? 1 : (n + 7) / 8;
     }
 
+    /**
+     * Whether the uop at @p offset within the block is critical.
+     * Offsets below 64 (every block the mask cache can describe) read
+     * the mask; the rare ones beyond it (a Fill Buffer walk can still
+     * mark those, see FillBuffer::walk) scan the uops.
+     */
+    bool
+    critical(unsigned offset) const
+    {
+        if (offset < 64)
+            return (criticalMask >> offset) & 1;
+        return std::any_of(uops.begin(), uops.end(),
+                           [&](const TraceUop &tu) {
+                               return tu.offsetInBlock == offset;
+                           });
+    }
+
     template <typename Ar>
     void
     fields(Ar &ar)
     {
         ar(startPc, blockLength, sized<std::uint32_t>(uops), endsInBranch,
-           branchPc, readyCycle);
+           branchPc, readyCycle, criticalMask);
     }
 
-    SIM_SNAPSHOT_FIELDS(6);
+    SIM_SNAPSHOT_FIELDS(7);
+};
+
+/** A sealed trace, shared by the uop cache and whoever fetches it. */
+using SharedTrace = std::shared_ptr<const BbTrace>;
+
+/**
+ * Snapshot visitor for a SharedTrace (also a sized() element
+ * visitor): a presence byte, then the trace by content. Sharing is
+ * not restored, nor needed: traces are immutable.
+ */
+struct TraceByContent
+{
+    template <typename Ar>
+    void
+    operator()(Ar &ar, SharedTrace &trace) const
+    {
+        bool present = trace != nullptr;
+        ar(present);
+        if constexpr (Ar::kLoading) {
+            auto fresh = present ? std::make_shared<BbTrace>() : nullptr;
+            if (fresh)
+                ar(*fresh);
+            trace = std::move(fresh);
+        } else if (present) {
+            ar(*trace);
+        }
+    }
 };
 
 /** Uop cache configuration (Table 1: 18KB 4-way, 8x8B per entry). */
@@ -99,15 +151,21 @@ class CriticalUopCache
 
     /**
      * Lookup the trace starting at @p pc, honouring the fill-latency
-     * gate. Returns nullptr on miss. Counts hit/miss stats and
-     * updates LRU — use contains() for silent probes.
+     * gate. Returns null on miss; copy the result to keep the trace
+     * past the next insert(). Counts hit/miss stats and updates LRU
+     * — use contains() for silent probes.
      */
-    const BbTrace *lookup(Addr pc, Cycle now);
+    const SharedTrace &lookup(Addr pc, Cycle now);
 
     /** Silent probe (no stats, no LRU, ignores readiness). */
     bool contains(Addr pc) const;
 
-    /** Insert (or replace) a trace; evicts LRU traces to make room. */
+    /**
+     * Seal @p trace (ready cycle, critical mask) and insert it,
+     * replacing any trace with its tag; evicts LRU traces to make
+     * room. A replaced or evicted trace lives on in the cursors that
+     * share it.
+     */
     void insert(BbTrace trace, Cycle now);
 
     /** Remove the trace tagged @p pc (density guard). */
@@ -125,11 +183,11 @@ class CriticalUopCache
     void
     fields(Ar &ar)
     {
-        ar(sized<std::uint32_t>(lru_), usedLines_);
+        ar(sized<std::uint32_t>(lru_, TraceByContent{}), usedLines_);
         if constexpr (Ar::kLoading) {
             traces_.clear();
             for (auto it = lru_.begin(); it != lru_.end(); ++it)
-                traces_[it->startPc] = it;
+                traces_[(*it)->startPc] = it;
         }
     }
 
@@ -140,8 +198,8 @@ class CriticalUopCache
 
     UopCacheConfig config_;
     // LRU list of traces; map from tag to list iterator.
-    std::list<BbTrace> lru_;  // front == most recent
-    std::unordered_map<Addr, std::list<BbTrace>::iterator> traces_;
+    std::list<SharedTrace> lru_;  // front == most recent
+    std::unordered_map<Addr, std::list<SharedTrace>::iterator> traces_;
     unsigned usedLines_ = 0;
 
     std::uint64_t &hits_;
@@ -153,29 +211,24 @@ class CriticalUopCache
 
 /**
  * A fetch cursor over uop-cache traces (CDF's critical fetch and
- * PRE's chain fetch): the block to fetch next, and once loaded a
- * private copy of its trace with the index of the next critical uop
- * to emit. The trace is copied because a fill-buffer walk may
- * replace the cached one while the block is still being emitted.
+ * PRE's chain fetch): the block to fetch next, and once loaded its
+ * trace with the index of the next critical uop to emit. The cursor
+ * shares the cached trace, so a fill-buffer walk replacing it, or an
+ * eviction, leaves a half-emitted block intact.
  */
 struct TraceCursor
 {
     Addr pc = 0;        //!< first uop of the block to fetch next
-    bool valid = false; //!< trace holds the block at pc
-    BbTrace trace;
-    unsigned idx = 0;   //!< next entry of trace.uops to emit
+    SharedTrace trace;  //!< the block at pc once loaded, else null
+    unsigned idx = 0;   //!< next entry of trace->uops to emit
 
-    /** Copy in the trace of the block at pc; false on a miss. */
+    /** Load the trace of the block at pc; false on a miss. */
     bool
     load(CriticalUopCache &cache, Cycle now)
     {
-        const BbTrace *t = cache.lookup(pc, now);
-        if (!t)
-            return false;
-        trace = *t;
-        valid = true;
+        trace = cache.lookup(pc, now);
         idx = 0;
-        return true;
+        return trace != nullptr;
     }
 
     /** Point at the block starting at @p next, not yet loaded. */
@@ -183,7 +236,7 @@ struct TraceCursor
     moveTo(Addr next)
     {
         pc = next;
-        valid = false;
+        trace.reset();
         idx = 0;
     }
 
@@ -191,10 +244,12 @@ struct TraceCursor
     void
     fields(Ar &ar)
     {
-        ar(pc, valid, trace, idx);
+        ar(pc);
+        TraceByContent{}(ar, trace); // an unloaded cursor writes none
+        ar(idx);
     }
 
-    SIM_SNAPSHOT_FIELDS(4);
+    SIM_SNAPSHOT_FIELDS(3);
 };
 
 } // namespace cdfsim::cdf

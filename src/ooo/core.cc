@@ -186,7 +186,6 @@ Core::makeInst(const isa::ExecRecord &rec, SeqNum ts, bool onPath)
     inst->memAddr = rec.memAddr;
     inst->taken = rec.taken;
     inst->actualTarget = rec.nextPc;
-    inst->fetchCycle = now_;
     inst->readyAtRename = now_ + config_.frontendDepth;
 
     ++statFetched_;

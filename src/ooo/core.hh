@@ -20,7 +20,6 @@
 #ifndef CDFSIM_OOO_CORE_HH
 #define CDFSIM_OOO_CORE_HH
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <deque>
@@ -126,57 +125,29 @@ struct StageLap
 };
 
 /**
- * One basic block's criticality bits, handed from the critical fetch
- * engine to the regular stream in CDF mode (Section 3.3). Offsets
- * below 64 — every block the mask cache can describe — live in a
- * 64-bit mask; the rare critical offsets beyond it (a Fill Buffer
- * walk can still mark those, see FillBuffer::walk) go to a side list
- * that stays empty, and allocation-free, for ordinary blocks.
+ * One basic block handed from the critical fetch engine to the
+ * regular stream in CDF mode (Section 3.3): the trace critical fetch
+ * walked, shared with the uop cache, and the ts its first uop has on
+ * the path the walk took (correct or wrong). The regular stream reads
+ * each uop's criticality from it.
  */
-struct BbInfo
+struct BlockHandoff
 {
-    SeqNum baseTs = 0;         //!< ts of the block's first uop
-    unsigned length = 0;       //!< uops in the block
-    std::uint64_t mask = 0;    //!< critical offsets < 64
-    std::vector<unsigned> highOffsets; //!< critical offsets >= 64
-
-    /** Rebuild from @p trace for the block starting at @p base. */
-    void
-    assign(const cdf::BbTrace &trace, SeqNum base)
-    {
-        baseTs = base;
-        length = trace.blockLength;
-        mask = 0;
-        highOffsets.clear();
-        for (const cdf::TraceUop &tu : trace.uops) {
-            if (tu.offsetInBlock < 64)
-                mask |= std::uint64_t{1} << tu.offsetInBlock;
-            else
-                highOffsets.push_back(tu.offsetInBlock);
-        }
-    }
+    SeqNum baseTs = 0;          //!< ts of the block's first uop
+    cdf::SharedTrace trace;
 
     /** First ts past the block. */
-    SeqNum endTs() const { return baseTs + length; }
-
-    /** Whether the uop at @p offset within the block is critical. */
-    bool
-    critical(unsigned offset) const
-    {
-        if (offset < 64)
-            return (mask >> offset) & 1;
-        return std::find(highOffsets.begin(), highOffsets.end(),
-                         offset) != highOffsets.end();
-    }
+    SeqNum endTs() const { return baseTs + trace->blockLength; }
 
     template <typename Ar>
     void
     fields(Ar &ar)
     {
-        ar(baseTs, length, mask, sized<std::uint32_t>(highOffsets));
+        ar(baseTs);
+        cdf::TraceByContent{}(ar, trace);
     }
 
-    SIM_SNAPSHOT_FIELDS(4);
+    SIM_SNAPSHOT_FIELDS(2);
 };
 
 /** The core. */
@@ -601,27 +572,14 @@ class Core
     /** wpRecords_ index of the current wrong-path BB's first uop. */
     std::size_t critWpBbBase_ = 0;
 
-    /** Per-BB criticality bits handed from critical to regular fetch. */
-    std::deque<BbInfo> bbInfoQ_;
+    /** Blocks critical fetch loaded, oldest first, for the regular
+     *  stream: the correct path, then any walked wrong path. */
+    std::deque<BlockHandoff> handoffQ_;
 
-    // Wrong-path records produced by critical fetch for the regular
-    // stream to consume (both streams share one divergence).
-    struct WpRecord
-    {
-        isa::ExecRecord rec;
-        SeqNum ts;
-        bool critical;
-
-        template <typename Ar>
-        void
-        fields(Ar &ar)
-        {
-            ar(rec, ts, critical);
-        }
-
-        SIM_SNAPSHOT_FIELDS(3);
-    };
-    std::vector<WpRecord> wpRecords_;
+    /** Wrong-path records produced by critical fetch for the regular
+     *  stream to consume (both streams share one divergence); each
+     *  record's seq is its wrong-path ts. */
+    std::vector<isa::ExecRecord> wpRecords_;
     std::size_t wpConsumeIdx_ = 0;
 
     /** Wrong-path critical fetch ran into unwalkable code; idle. */

@@ -138,7 +138,6 @@ Core::renameCritical(unsigned &slots)
         inst->oldPhysDstCrit = rr.oldPhysDst;
         inst->renamedCritical = true;
         inst->state = InstState::Renamed;
-        inst->renameCycle = now_;
 
         rob_.insert(inst, true);
         rs_.insert(inst);
@@ -189,15 +188,11 @@ Core::renameRegularOne(SeqNum &depViolationTs)
                    "CMQ replay with no critical-stream instruction: ts ",
                    inst->ts, " handle ", e.inst);
         DynInst *real = &inflightPool_.at(e.inst);
-        real->hasPoisonSnapshot = true;
+        real->renamedRegular = true;
         real->poisonSnapshot = rat_.poisonBits();
         if (inst->uop.writesReg()) {
-            RegId old = rat_.replay(real->uop.dst, real->physDst);
+            real->oldPhysDst = rat_.replay(real->uop.dst, real->physDst);
             rat_.clearPoison(real->uop.dst);
-            real->oldPhysDst = old;
-            real->renamedRegular = true;
-        } else {
-            real->renamedRegular = true;
         }
         if (inst->onPath)
             regRenamedThroughTs_ = inst->ts + 1;
@@ -215,14 +210,12 @@ Core::renameRegularOne(SeqNum &depViolationTs)
     inst->oldPhysDst = rr.oldPhysDst;
     inst->renamedRegular = true;
     inst->state = InstState::Renamed;
-    inst->renameCycle = now_;
 
     // Non-critical uops poison their destinations during CDF
     // (Section 3.6) so later critical replays can detect missed
     // producers. The pre-rename poison state is snapshotted so a
     // flush can restore it (the poison bits live in the RAT and are
     // checkpointed with it).
-    inst->hasPoisonSnapshot = true;
     inst->poisonSnapshot = rat_.poisonBits();
     if (cdfMode_ && inst->cdfFetched && inst->uop.writesReg())
         rat_.setPoison(inst->uop.dst);
@@ -370,7 +363,6 @@ Core::tryIssueLoad(DynInst *inst)
                                    : mem::AccessKind::WrongPathLoad;
     auto res = mem_.dataAccess(inst->memAddr, kind, agen);
     inst->llcMiss = res.llcMiss;
-    inst->l1Miss = !res.l1Hit;
     if (res.llcMiss && inst->onPath)
         ++statLlcMissLoads_;
     inst->forwardSrcTs = 0;
@@ -689,8 +681,9 @@ Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
     })
     // NOTE: even when no in-flight instruction is younger than the
     // flush point, the FIFO flushes further down must still run:
-    // wrong-path basic blocks with no critical uops leave DBQ /
-    // wpRecords / BbInfo entries behind without any instruction.
+    // wrong-path basic blocks with no critical uops leave DBQ entries,
+    // wrong-path records and block handoffs behind without any
+    // instruction.
 
     // A violation recovery rewinds the predictor's speculative
     // history to the oldest squashed branch checkpoint, read before
@@ -763,26 +756,29 @@ Core::squashYoungerThan(SeqNum flushTs, bool rewindPredictor)
     }
     // One divergence's walk, so ascending ts: cut the young tail.
     SIM_AUDIT(std::is_sorted(wpRecords_.begin(), wpRecords_.end(),
-                             [](const WpRecord &a, const WpRecord &b) {
-                                 return a.ts < b.ts;
+                             [](const isa::ExecRecord &a,
+                                const isa::ExecRecord &b) {
+                                 return a.seq < b.seq;
                              }),
               "wrong-path records out of ts order");
     wpRecords_.erase(
         std::upper_bound(wpRecords_.begin(), wpRecords_.end(), flushTs,
-                         [](SeqNum ts, const WpRecord &w) {
-                             return ts < w.ts;
+                         [](SeqNum ts, const isa::ExecRecord &w) {
+                             return ts < w.seq;
                          }),
         wpRecords_.end());
     if (wpConsumeIdx_ > wpRecords_.size())
         wpConsumeIdx_ = wpRecords_.size();
-    while (!bbInfoQ_.empty() && bbInfoQ_.back().baseTs > flushTs)
-        bbInfoQ_.pop_back();
+    // Handoffs are in ts order too (correct path, then the wrong path
+    // past its divergence): cut the blocks starting past the flush.
+    while (!handoffQ_.empty() && handoffQ_.back().baseTs > flushTs)
+        handoffQ_.pop_back();
 
     // Restore the poison bits to their state before the oldest
     // squashed regular rename (they are RAT state and flush with it).
     for (auto it = squashed_.rbegin();
          it != squashed_.rend() - firstRenamed; ++it) {
-        if ((*it)->hasPoisonSnapshot) {
+        if ((*it)->renamedRegular) {
             rat_.setPoisonBits((*it)->poisonSnapshot);
             break;
         }

@@ -61,8 +61,7 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
         rob_.criticalOccupancy() > 0) {
         return;
     }
-    const cdf::BbTrace *t = uopCache_->lookup(pc, now_);
-    if (!t)
+    if (!uopCache_->lookup(pc, now_))
         return;
 
     cdfMode_ = true;
@@ -72,7 +71,7 @@ Core::maybeEnterCdfMode(Addr pc, SeqNum seq)
     critRatCopied_ = false;
     restartCdfFetch(pc, seq);
     regNextTs_ = seq;
-    bbInfoQ_.clear();
+    handoffQ_.clear();
 
     applyPartitionCaps();
 }
@@ -145,7 +144,7 @@ Core::endCdfEpisode()
     critOnPath_ = true;
     wpRecords_.clear();
     wpConsumeIdx_ = 0;
-    bbInfoQ_.clear();
+    handoffQ_.clear();
     rat_.clearAllPoison();
     // Every episode end finds the DBQ drained: a graceful exit waits
     // for the regular stream to catch up with critical fetch, and an
@@ -201,48 +200,42 @@ Core::fetchCriticalCdf(unsigned &budget)
         if (criticalFetchGate() != FetchGate::Progress)
             return;
 
-        // Acquire (and copy) the trace for the block at the cursor.
-        if (!crit_.valid) {
+        // Acquire the trace for the block at the cursor and hand the
+        // block to the regular stream.
+        if (!crit_.trace) {
             if (!crit_.load(*uopCache_, now_)) {
                 ++statCdfExitsUopMiss_;
                 beginCdfExit();
                 return;
             }
+            const cdf::BbTrace &trace = *crit_.trace;
 
+            SeqNum baseTs = critFetchBaseTs_;
             if (!critOnPath_) {
                 // Wrong path: functionally walk the whole block now
                 // so the regular stream has records to consume.
                 // Commit records only if the whole block is walkable.
                 const std::size_t base = wpRecords_.size();
-                for (unsigned off = 0; off < crit_.trace.blockLength;
-                     ++off) {
-                    const Addr pc = crit_.trace.startPc + off;
+                for (unsigned off = 0; off < trace.blockLength; ++off) {
+                    const Addr pc = trace.startPc + off;
                     if (!oracle_.program().walkable(pc)) {
                         wpRecords_.resize(base);
-                        crit_.valid = false;
+                        crit_.trace.reset();
                         critWpStuck_ = true;
                         return;
                     }
-                    WpRecord &w = wpRecords_.emplace_back();
-                    walker_.executeInto(w.rec, pc);
-                    w.ts = critWpNextTs_ + off;
-                    w.critical = false;
+                    isa::ExecRecord &w = wpRecords_.emplace_back();
+                    walker_.executeInto(w, pc);
+                    w.seq = critWpNextTs_ + off;
                 }
-                critWpNextTs_ += crit_.trace.blockLength;
+                baseTs = critWpNextTs_;
+                critWpNextTs_ += trace.blockLength;
                 critWpBbBase_ = base;
-                for (const auto &tu : crit_.trace.uops) {
-                    wpRecords_[critWpBbBase_ + tu.offsetInBlock]
-                        .critical = true;
-                }
-            } else {
-                // On-path: publish this BB's criticality bits for
-                // the regular fetch stream.
-                bbInfoQ_.emplace_back().assign(crit_.trace,
-                                               critFetchBaseTs_);
             }
+            handoffQ_.push_back({baseTs, crit_.trace});
         }
 
-        const cdf::BbTrace &trace = crit_.trace;
+        const cdf::BbTrace &trace = *crit_.trace;
         const unsigned len = trace.blockLength;
         const bool lastUopIsBranch = trace.endsInBranch;
 
@@ -268,10 +261,8 @@ Core::fetchCriticalCdf(unsigned &budget)
                 SIM_ASSERT(rec->pc == trace.startPc + tu.offsetInBlock,
                            "critical fetch desynchronized from oracle");
             } else {
-                const WpRecord &w =
-                    wpRecords_[critWpBbBase_ + tu.offsetInBlock];
-                rec = &w.rec;
-                ts = w.ts;
+                rec = &wpRecords_[critWpBbBase_ + tu.offsetInBlock];
+                ts = rec->seq;
             }
 
             DynInst *inst = makeInst(*rec, ts, critOnPath_);
@@ -321,8 +312,7 @@ Core::fetchCriticalCdf(unsigned &budget)
             misp = pred.taken != brec.taken ||
                    (pred.taken && pred.target != brec.nextPc);
         } else {
-            branchTs =
-                wpRecords_[critWpBbBase_ + len - 1].ts;
+            branchTs = wpRecords_[critWpBbBase_ + len - 1].seq;
         }
 
         dbq_->push({branchTs, pred.taken, pred.target, pred.btbMiss,
@@ -331,7 +321,7 @@ Core::fetchCriticalCdf(unsigned &budget)
         if (branchCritical) {
             const isa::ExecRecord &rec =
                 critOnPath_ ? oracle_.at(branchTs)
-                            : wpRecords_[critWpBbBase_ + len - 1].rec;
+                            : wpRecords_[critWpBbBase_ + len - 1];
             DynInst *binst = makeInst(rec, branchTs, critOnPath_);
             binst->critical = true;
             binst->criticalStream = true;
@@ -394,7 +384,7 @@ Core::regularCdfFetchGate()
     // Branches need their DBQ entry; without it the stream cannot
     // know which way to go yet.
     if (dbq_->empty() &&
-        (regWrongPath_ ? wpRecords_[wpConsumeIdx_].rec
+        (regWrongPath_ ? wpRecords_[wpConsumeIdx_]
                        : oracle_.at(regNextTs_))
             .uop.isBranch())
         return FetchGate::Blocked;
@@ -411,36 +401,26 @@ Core::fetchRegularCdf(unsigned &budget)
         if (gate != FetchGate::Progress)
             return;
 
-        const isa::ExecRecord *recp;
-        SeqNum ts;
-        bool onPath;
-        bool critFlag = false;
+        // An oracle record's seq is its ts; a wrong-path record's
+        // seq is the wrong-path ts critical fetch gave it.
+        const bool onPath = !regWrongPath_;
+        const isa::ExecRecord &rec = onPath ? oracle_.at(regNextTs_)
+                                            : wpRecords_[wpConsumeIdx_];
+        const SeqNum ts = rec.seq;
 
-        if (!regWrongPath_) {
-            recp = &oracle_.at(regNextTs_);
-            ts = regNextTs_;
-            onPath = true;
-
-            // Criticality bits from the BB info queue.
-            while (!bbInfoQ_.empty()) {
-                const BbInfo &bi = bbInfoQ_.front();
-                if (ts >= bi.endTs()) {
-                    bbInfoQ_.pop_front();
-                    continue;
-                }
-                if (ts >= bi.baseTs)
-                    critFlag = bi.critical(
-                        static_cast<unsigned>(ts - bi.baseTs));
-                break;
-            }
-        } else {
-            const WpRecord &w = wpRecords_[wpConsumeIdx_];
-            recp = &w.rec;
-            ts = w.ts;
-            critFlag = w.critical;
-            onPath = false;
-        }
-        const isa::ExecRecord &rec = *recp;
+        // Criticality from the handoff of the block holding ts. Both
+        // paths hand off every block they fetch from, so a wrong-path
+        // record always finds its block at the front.
+        while (!handoffQ_.empty() && ts >= handoffQ_.front().endTs())
+            handoffQ_.pop_front();
+        const bool handedOff =
+            !handoffQ_.empty() && ts >= handoffQ_.front().baseTs;
+        SIM_ASSERT(handedOff || onPath, "wrong-path ts ", ts,
+                   " has no handoff entry");
+        const bool critFlag =
+            handedOff && handoffQ_.front().trace->critical(
+                             static_cast<unsigned>(
+                                 ts - handoffQ_.front().baseTs));
 
         cdf::DbqEntry dbqEntry{};
         if (rec.uop.isBranch()) {

@@ -160,7 +160,7 @@ Core::runaheadStep(unsigned &budget)
         return;
 
     while (budget > 0) {
-        if (!ra_.valid) {
+        if (!ra_.trace) {
             if (!ra_.load(*uopCache_, now_)) {
                 ++statRunaheadTraceMiss_;
                 return; // no chain to fetch from here
@@ -168,12 +168,12 @@ Core::runaheadStep(unsigned &budget)
 
             // Shadow-execute the whole block, propagating taint.
             raBbRecs_.clear();
-            raBbRecs_.reserve(ra_.trace.blockLength);
-            for (unsigned off = 0; off < ra_.trace.blockLength;
+            raBbRecs_.reserve(ra_.trace->blockLength);
+            for (unsigned off = 0; off < ra_.trace->blockLength;
                  ++off) {
-                const Addr pc = ra_.trace.startPc + off;
+                const Addr pc = ra_.trace->startPc + off;
                 if (!oracle_.program().walkable(pc)) {
-                    ra_.valid = false;
+                    ra_.trace.reset();
                     return; // unwalkable: runahead idles
                 }
                 const isa::Uop &uop = oracle_.program().at(pc);
@@ -198,7 +198,7 @@ Core::runaheadStep(unsigned &budget)
         }
 
         // Issue the chain (critical) uops of the block.
-        const cdf::BbTrace &trace = ra_.trace;
+        const cdf::BbTrace &trace = *ra_.trace;
         while (ra_.idx < trace.uops.size() && budget > 0) {
             const cdf::TraceUop &tu = trace.uops[ra_.idx];
             const isa::ExecRecord &rec =
@@ -214,9 +214,8 @@ Core::runaheadStep(unsigned &budget)
                 ++raEpisodeLoads_;
                 --loadBudget;
                 // Skip lines already present or in flight at the
-                // LLC: runahead prefetches each miss once. The
-                // memoized classifier answers repeat probes of the
-                // same chain without walking the tag arrays.
+                // LLC: runahead prefetches each miss once.
+                // wouldMissLlc probes the L1D and LLC tags directly.
                 if (mem_.wouldMissLlc(rec.memAddr)) {
                     mem_.dataAccess(rec.memAddr,
                                     mem::AccessKind::RunaheadLoad,
@@ -233,7 +232,7 @@ Core::runaheadStep(unsigned &budget)
 
         // Chain to the next block via a (speculative) prediction.
         if (!trace.endsInBranch) {
-            ra_.valid = false;
+            ra_.trace.reset();
             return; // cannot chain further this stall
         }
         const Addr branchPc = trace.branchPc;

@@ -141,7 +141,7 @@ Core::fields(Ar &ar)
     ar(cdfMode_, cdfDraining_, cdfCooldownUntil_, critRatCopied_,
        cdfStartTs_, regRenamedThroughTs_, crit_, critFetchBaseTs_,
        critOnPath_, regNextTs_, regWrongPath_, critCoveredUpTo_,
-       critWpNextTs_, critWpBbBase_, sized<std::uint32_t>(bbInfoQ_),
+       critWpNextTs_, critWpBbBase_, sized<std::uint32_t>(handoffQ_),
        sized<std::uint32_t>(wpRecords_), wpConsumeIdx_, critWpStuck_);
 
     // PRE machinery. raTaint_ is a bitset<kNumArchRegs>: one u64.

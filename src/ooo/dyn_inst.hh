@@ -55,15 +55,14 @@ struct DynInst
     RegId oldPhysDstCrit = kInvalidReg;  //!< critical RAT prior mapping
     RegId physSrc1 = kInvalidReg;
     RegId physSrc2 = kInvalidReg;
-    bool renamedRegular = false;   //!< updated the regular RAT
+    /** Updated the regular RAT (a critical uop: by its replay), and
+     *  so holds the poison bits from before that rename. */
+    bool renamedRegular = false;
     bool renamedCritical = false;  //!< updated the critical RAT
-    bool hasPoisonSnapshot = false;
     std::uint64_t poisonSnapshot = 0; //!< poison bits pre-this-rename
 
     // --- Execution state ---
     InstState state = InstState::Fetched;
-    Cycle fetchCycle = 0;
-    Cycle renameCycle = 0;
     Cycle readyAtRename = 0;   //!< earliest cycle rename may process it
     Cycle completionCycle = kNeverCycle;
     /** Earliest cycle the RS scheduler must re-examine this entry:
@@ -71,7 +70,6 @@ struct DynInst
      *  wakeup clears it. Pure scheduling cache, never architectural. */
     Cycle rsNextTry = 0;
     bool llcMiss = false;      //!< this load went to DRAM
-    bool l1Miss = false;
     SeqNum forwardSrcTs = 0;   //!< ts of SQ entry forwarded from (0: mem)
     bool addrKnown = false;    //!< agen done (memory disambiguation)
 
@@ -109,18 +107,17 @@ struct DynInst
            criticalStream, memAddr, taken, actualTarget, predTaken,
            predTarget, mispredicted, btbMissBubble, physDst, oldPhysDst,
            oldPhysDstCrit, physSrc1, physSrc2, renamedRegular,
-           renamedCritical, hasPoisonSnapshot, poisonSnapshot, state,
-           fetchCycle, renameCycle, readyAtRename, completionCycle,
-           rsNextTry, llcMiss, l1Miss, forwardSrcTs, addrKnown, bpCkpt,
-           doomed, poolIdx, prevIdx, nextIdx);
+           renamedCritical, poisonSnapshot, state, readyAtRename,
+           completionCycle, rsNextTry, llcMiss, forwardSrcTs, addrKnown,
+           bpCkpt, doomed, poolIdx, prevIdx, nextIdx);
     }
 
-    SIM_SNAPSHOT_FIELDS(39);
+    SIM_SNAPSHOT_FIELDS(35);
 };
 
 // Every fetched uop carries one of these; keep it small enough that
 // the in-flight pool stays cache-resident.
-static_assert(sizeof(DynInst) <= 208, "DynInst grew past 208 bytes");
+static_assert(sizeof(DynInst) <= 184, "DynInst grew past 184 bytes");
 
 } // namespace cdfsim::ooo
 

@@ -34,7 +34,7 @@ namespace cdfsim::sim
 /** Bumped whenever the payload layout (any fields() visitor)
  *  changes; SnapshotLayout.PayloadBytesArePinned fails until it is.
  *  Stale on-disk checkpoints are rejected, never migrated. */
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 6;
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 7;
 
 /** A complete post-warmup simulator state. */
 struct Checkpoint

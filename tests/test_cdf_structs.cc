@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -248,16 +249,48 @@ TEST(CriticalUopCache, EmptyTraceOccupiesOneLine)
     CriticalUopCache uc(cfg, s);
     uc.insert(makeTrace(0x40, 6, {}), 0);
     EXPECT_EQ(uc.usedLines(), 1u);
-    const BbTrace *t = uc.lookup(0x40, 1);
+    const BbTrace *t = uc.lookup(0x40, 1).get();
     ASSERT_NE(t, nullptr);
     EXPECT_TRUE(t->uops.empty());
     EXPECT_EQ(t->blockLength, 6u);
 }
 
-TEST(TraceCursor, LoadCopiesMoveToInvalidates)
+TEST(BbTrace, CriticalOffsetsBeyondTheMaskWord)
+{
+    // A 100-uop block whose critical uops straddle the 64-bit mask
+    // the uop cache seals into each trace: offsets >= 64 scan the
+    // uops, and every other offset must read as non-critical on both
+    // sides of the boundary.
+    StatRegistry s;
+    UopCacheConfig cfg;
+    cfg.fillLatency = 0;
+    CriticalUopCache uc(cfg, s);
+    const std::vector<unsigned> crit = {0, 5, 63, 64, 70, 99};
+    uc.insert(makeTrace(0x10, 100, crit), 0);
+    const SharedTrace t = uc.lookup(0x10, 1);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->criticalMask, (std::uint64_t{1} << 0) |
+                                   (std::uint64_t{1} << 5) |
+                                   (std::uint64_t{1} << 63));
+    for (unsigned off = 0; off < t->blockLength; ++off) {
+        const bool want =
+            std::find(crit.begin(), crit.end(), off) != crit.end();
+        EXPECT_EQ(t->critical(off), want) << "offset " << off;
+    }
+
+    // A replacing fill seals its own mask.
+    uc.insert(makeTrace(0x10, 8, {3}), 2);
+    const SharedTrace small = uc.lookup(0x10, 3);
+    ASSERT_NE(small, nullptr);
+    for (unsigned off = 0; off < 100; ++off)
+        EXPECT_EQ(small->critical(off), off == 3) << "offset " << off;
+}
+
+TEST(TraceCursor, SharesTraceThroughFillEvictionAndSnapshot)
 {
     StatRegistry s;
     UopCacheConfig cfg;
+    cfg.capacityLines = 2;
     cfg.fillLatency = 0;
     CriticalUopCache uc(cfg, s);
     uc.insert(makeTrace(0x10, 4, {0, 2}), 0);
@@ -265,23 +298,33 @@ TEST(TraceCursor, LoadCopiesMoveToInvalidates)
     TraceCursor c;
     c.moveTo(0x20);
     EXPECT_FALSE(c.load(uc, 1)); // miss: nothing loaded
-    EXPECT_FALSE(c.valid);
+    EXPECT_EQ(c.trace, nullptr);
     EXPECT_EQ(s.get("uop_cache.misses"), 1u);
 
     c.moveTo(0x10);
     ASSERT_TRUE(c.load(uc, 1));
-    EXPECT_TRUE(c.valid);
     EXPECT_EQ(c.idx, 0u);
-    EXPECT_EQ(c.trace.uops.size(), 2u);
+    EXPECT_EQ(c.trace, uc.lookup(0x10, 1)); // shared, not copied
     c.idx = 1; // one uop emitted
 
     // A fill replacing the cached trace mid-emission leaves the
-    // cursor's copy alone.
+    // cursor's trace intact.
+    const BbTrace *held = c.trace.get();
     uc.insert(makeTrace(0x10, 4, {0, 1, 2, 3}), 2);
-    EXPECT_EQ(c.trace.uops.size(), 2u);
+    EXPECT_NE(uc.lookup(0x10, 3), c.trace);
+    EXPECT_EQ(c.trace.get(), held);
+    EXPECT_EQ(c.trace->uops.size(), 2u);
     EXPECT_EQ(c.idx, 1u);
 
-    // The copy survives a snapshot round trip.
+    // So does an eviction: two more one-line fills push 0x10 out.
+    uc.insert(makeTrace(0x20, 4, {0}), 4);
+    uc.insert(makeTrace(0x30, 4, {0}), 4);
+    ASSERT_FALSE(uc.contains(0x10));
+    EXPECT_EQ(c.trace.get(), held);
+    EXPECT_EQ(c.trace->uops.size(), 2u);
+    EXPECT_EQ(c.trace->uops[1].offsetInBlock, 2u);
+
+    // The trace survives a snapshot round trip, by content.
     SnapWriter w;
     w(c);
     TraceCursor restored;
@@ -289,15 +332,28 @@ TEST(TraceCursor, LoadCopiesMoveToInvalidates)
     r(restored);
     EXPECT_TRUE(r.done());
     EXPECT_EQ(restored.pc, 0x10u);
-    EXPECT_TRUE(restored.valid);
+    ASSERT_NE(restored.trace, nullptr);
     EXPECT_EQ(restored.idx, 1u);
-    EXPECT_EQ(restored.trace.uops.size(), 2u);
-    EXPECT_EQ(restored.trace.uops[1].offsetInBlock, 2u);
+    EXPECT_EQ(restored.trace->uops.size(), 2u);
+    EXPECT_EQ(restored.trace->uops[1].offsetInBlock, 2u);
+    EXPECT_EQ(restored.trace->criticalMask, c.trace->criticalMask);
+    SnapWriter resaved;
+    resaved(restored);
+    EXPECT_EQ(resaved.bytes(), w.bytes());
 
+    // An unloaded cursor writes no trace: pc, the loaded flag, idx.
     c.moveTo(0x30);
     EXPECT_EQ(c.pc, 0x30u);
-    EXPECT_FALSE(c.valid);
+    EXPECT_EQ(c.trace, nullptr);
     EXPECT_EQ(c.idx, 0u);
+    SnapWriter empty;
+    empty(c);
+    EXPECT_EQ(empty.size(), sizeof(Addr) + 1 + sizeof(unsigned));
+    SnapReader er(empty.bytes());
+    er(restored);
+    EXPECT_TRUE(er.done());
+    EXPECT_EQ(restored.pc, 0x30u);
+    EXPECT_EQ(restored.trace, nullptr);
 }
 
 // --- FillBuffer: backwards dataflow walk ---
@@ -412,7 +468,7 @@ TEST(FillBuffer, PaperFig5BackwardsWalk)
     // Trace for the BB starting at I3 must contain the seed I6, its
     // register producer I3, and the address chain of I3 (r0 from
     // I0 is in the previous BB; I3's block trace holds I3 and I6).
-    const BbTrace *t = h.uopCache.lookup(3, 1000);
+    const BbTrace *t = h.uopCache.lookup(3, 1000).get();
     ASSERT_NE(t, nullptr);
     std::vector<unsigned> offs;
     for (const auto &tu : t->uops)
@@ -448,7 +504,7 @@ TEST(FillBuffer, ChainsThroughMemory)
 
     auto r = h.feed(uops);
     ASSERT_TRUE(r.accepted);
-    const BbTrace *t = h.uopCache.lookup(0, 1000);
+    const BbTrace *t = h.uopCache.lookup(0, 1000).get();
     ASSERT_NE(t, nullptr);
     std::vector<unsigned> offs;
     for (const auto &tu : t->uops)
@@ -512,7 +568,7 @@ TEST(FillBuffer, MaskCachePreMarksNextWindow)
 
     auto r2 = h.feed(window(false));
     ASSERT_TRUE(r2.accepted);
-    const BbTrace *t = h.uopCache.lookup(0, 1000);
+    const BbTrace *t = h.uopCache.lookup(0, 1000).get();
     ASSERT_NE(t, nullptr);
     bool found = false;
     for (const auto &tu : t->uops)

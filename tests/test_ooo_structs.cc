@@ -566,39 +566,6 @@ TEST(PhysRegFile, ExhaustionPanics)
     EXPECT_THROW(prf.allocate(), PanicError);
 }
 
-// --- BbInfo ---
-
-TEST(BbInfo, CriticalOffsetsBeyondTheMaskWord)
-{
-    // A 100-uop block whose critical uops straddle the 64-bit mask:
-    // offsets >= 64 take the side list, and every other offset must
-    // read as non-critical on both sides of the boundary.
-    cdf::BbTrace trace;
-    trace.blockLength = 100;
-    const std::vector<unsigned> crit = {0, 5, 63, 64, 70, 99};
-    for (unsigned off : crit)
-        trace.uops.push_back({isa::Uop{}, off});
-
-    BbInfo bb;
-    bb.assign(trace, 1000);
-    EXPECT_EQ(bb.baseTs, 1000u);
-    EXPECT_EQ(bb.endTs(), 1100u);
-    for (unsigned off = 0; off < trace.blockLength; ++off) {
-        const bool want =
-            std::find(crit.begin(), crit.end(), off) != crit.end();
-        EXPECT_EQ(bb.critical(off), want) << "offset " << off;
-    }
-
-    // Reuse for a short block drops the old side list.
-    cdf::BbTrace small;
-    small.blockLength = 8;
-    small.uops.push_back({isa::Uop{}, 3});
-    bb.assign(small, 2000);
-    EXPECT_TRUE(bb.highOffsets.empty());
-    for (unsigned off = 0; off < 100; ++off)
-        EXPECT_EQ(bb.critical(off), off == 3) << "offset " << off;
-}
-
 namespace
 {
 

@@ -60,6 +60,18 @@ struct AuditPeer
         }
         return false;
     }
+
+    /** In a CDF episode whose critical fetch has handed the regular
+     *  stream a walked wrong-path block (the newest handoff starts at
+     *  the first record of the newest walked block). */
+    static bool
+    cdfWrongPathHandoffQueued(const ooo::Core &c)
+    {
+        return c.cdfMode_ && !c.critOnPath_ && !c.wpRecords_.empty() &&
+               !c.handoffQ_.empty() &&
+               c.handoffQ_.back().baseTs ==
+                   c.wpRecords_[c.critWpBbBase_].seq;
+    }
 };
 
 } // namespace cdfsim
@@ -223,6 +235,27 @@ TEST(Snapshot, MidCdfEpisodeRoundTrip)
     EXPECT_EQ(a.core().cycle(), b.core().cycle());
     EXPECT_EQ(a.core().retired(), b.core().retired());
     EXPECT_EQ(a.stats().dump(), b.stats().dump());
+
+    // Tick on until critical fetch has handed the regular stream a
+    // walked wrong-path block, whose shared trace goes on the wire by
+    // content: the restored copy must re-save the same bytes.
+    const auto wpHandoff = AuditPeer::cdfWrongPathHandoffQueued;
+    for (int i = 0; i < 2'000'000 && !wpHandoff(a.core()) &&
+                    !a.core().halted();
+         ++i)
+        a.core().tick();
+    ASSERT_TRUE(wpHandoff(a.core()))
+        << "mcf/cdf never queued a wrong-path block handoff";
+    SnapWriter wp;
+    a.saveState(wp);
+    sim::Simulator c(config, workloads::makeWorkload("mcf"));
+    SnapReader rp(wp.bytes());
+    c.restoreState(rp);
+    EXPECT_TRUE(rp.done());
+    EXPECT_TRUE(wpHandoff(c.core()));
+    SnapWriter wpResaved;
+    c.saveState(wpResaved);
+    EXPECT_EQ(wp.bytes(), wpResaved.bytes());
 }
 
 TEST(Snapshot, LiveWalkerRoundTripInEveryRole)
@@ -878,18 +911,18 @@ TEST(SnapshotLayout, PayloadBytesArePinned)
         std::uint64_t fnvAudit;
     };
     const Pin pins[] = {
-        {"astar", ooo::CoreMode::Baseline, 0xe8f862a26c91106full,
-         0x094e36dc35fe82bdull},
-        {"astar", ooo::CoreMode::Cdf, 0xb87e4c134438ecb6ull,
-         0xe38a76b5ca71cc5full},
-        {"astar", ooo::CoreMode::Pre, 0x55652028e04a565cull,
-         0x14f254e486a68285ull},
-        {"mcf", ooo::CoreMode::Baseline, 0x633802ecc6595820ull,
-         0x7ab73437a1413a27ull},
-        {"mcf", ooo::CoreMode::Cdf, 0xf9f81d11c76e7a7dull,
-         0xebedb7de3436e7b6ull},
-        {"mcf", ooo::CoreMode::Pre, 0x14366ed41fa6ab7aull,
-         0x39f3b3f394fb68e7ull},
+        {"astar", ooo::CoreMode::Baseline, 0x5944dc80d20cdd53ull,
+         0xf0f27288445b2059ull},
+        {"astar", ooo::CoreMode::Cdf, 0xddc6da9f21a5643cull,
+         0x9fa71832f6078d71ull},
+        {"astar", ooo::CoreMode::Pre, 0xcdfc9219e776dea6ull,
+         0xf0116380ab59400dull},
+        {"mcf", ooo::CoreMode::Baseline, 0x614a2d9660e7b69eull,
+         0xf8bfb46f40340895ull},
+        {"mcf", ooo::CoreMode::Cdf, 0x4fbe03eb42d3d26eull,
+         0xc1f9d19c62086eedull},
+        {"mcf", ooo::CoreMode::Pre, 0xf6925e0967badad3ull,
+         0x6bfd450d1201c9b0ull},
     };
     for (const Pin &pin : pins) {
         sim::Simulator s(configFor(pin.mode),
